@@ -18,9 +18,9 @@ test-all:
 	$(PYTHON) -m pytest tests/ -m "slow or not slow"
 
 # Tier-1 with DeprecationWarnings from repro.* promoted to errors: no
-# in-repo caller may lean on the legacy run() keywords or the PushReport
-# mapping view (tests exercising the shims use pytest.warns, which
-# overrides the filter inside its block).
+# in-repo caller may lean on a deprecated API of the repo's own (a test
+# exercising a future shim uses pytest.warns, which overrides the filter
+# inside its block).
 test-deprecations:
 	$(PYTHON) -m pytest tests/ -x -q -W "error::DeprecationWarning:repro"
 

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments import ablations
+from repro.experiments import RunConfig, ablations
 
 
 def test_ablation_response_traffic(benchmark, bench_settings, bench_jobs):
     result = run_once(
-        benchmark, ablations.response_traffic, bench_settings, jobs=bench_jobs
+        benchmark,
+        ablations.response_traffic,
+        bench_settings,
+        config=RunConfig(jobs=bench_jobs),
     )
     print()
     print(result.table())
@@ -37,7 +40,7 @@ def test_ablation_lazy_decrypt(benchmark, bench_settings, bench_jobs):
         ablations.lazy_decrypt,
         bench_settings,
         vpg_counts=(1, 4, 8),
-        jobs=bench_jobs,
+        config=RunConfig(jobs=bench_jobs),
     )
     print()
     print(result.table())
@@ -54,7 +57,7 @@ def test_ablation_ring_size(benchmark, bench_settings, bench_jobs):
         ablations.ring_size,
         bench_settings,
         ring_sizes=(16, 64, 256),
-        jobs=bench_jobs,
+        config=RunConfig(jobs=bench_jobs),
     )
     print()
     print(result.table())
@@ -68,7 +71,10 @@ def test_ablation_ring_size(benchmark, bench_settings, bench_jobs):
 
 def test_ablation_stateful_firewall(benchmark, bench_settings, bench_jobs):
     result = run_once(
-        benchmark, ablations.stateful_firewall, bench_settings, jobs=bench_jobs
+        benchmark,
+        ablations.stateful_firewall,
+        bench_settings,
+        config=RunConfig(jobs=bench_jobs),
     )
     print()
     print(result.table())

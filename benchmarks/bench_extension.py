@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments import extension_hardened
+from repro.experiments import RunConfig, extension_hardened
 from repro.experiments.presets import Preset
 from repro.sim import units
 
@@ -21,8 +21,10 @@ def test_extension_hardened_nic(benchmark, bench_settings, bench_jobs):
     result = run_once(
         benchmark,
         extension_hardened.run,
-        preset=Preset(name="bench", settings=bench_settings, depths=DEPTHS),
-        jobs=bench_jobs,
+        RunConfig(
+            preset=Preset(name="bench", settings=bench_settings, depths=DEPTHS),
+            jobs=bench_jobs,
+        ),
     )
     print()
     print(result.table())

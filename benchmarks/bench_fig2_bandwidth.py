@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments import fig2_bandwidth
+from repro.experiments import RunConfig, fig2_bandwidth
 from repro.experiments.presets import Preset
 
 DEPTHS = (1, 8, 16, 32, 64)
@@ -21,8 +21,10 @@ def test_fig2_available_bandwidth(benchmark, bench_settings, bench_jobs):
     result = run_once(
         benchmark,
         fig2_bandwidth.run,
-        preset=Preset(name="bench", settings=bench_settings, depths=DEPTHS, vpg_counts=VPG_COUNTS),
-        jobs=bench_jobs,
+        RunConfig(
+            preset=Preset(name="bench", settings=bench_settings, depths=DEPTHS, vpg_counts=VPG_COUNTS),
+            jobs=bench_jobs,
+        ),
     )
     print()
     print(result.table())

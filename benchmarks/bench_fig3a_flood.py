@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments import fig3a_flood
+from repro.experiments import RunConfig, fig3a_flood
 from repro.experiments.presets import Preset
 
 FLOOD_RATES = (0, 10000, 20000, 30000, 40000, 50000)
@@ -20,8 +20,10 @@ def test_fig3a_bandwidth_under_flood(benchmark, bench_settings, bench_jobs):
     result = run_once(
         benchmark,
         fig3a_flood.run,
-        preset=Preset(name="bench", settings=bench_settings, flood_rates=FLOOD_RATES, repetitions=2),
-        jobs=bench_jobs,
+        RunConfig(
+            preset=Preset(name="bench", settings=bench_settings, flood_rates=FLOOD_RATES, repetitions=2),
+            jobs=bench_jobs,
+        ),
     )
     print()
     print(result.table())

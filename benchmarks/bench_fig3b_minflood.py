@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments import fig3b_minflood
+from repro.experiments import RunConfig, fig3b_minflood
 from repro.experiments.presets import Preset
 
 DEPTHS = (1, 16, 64)
@@ -20,8 +20,10 @@ def test_fig3b_minimum_flood_rate(benchmark, bench_settings, bench_jobs):
     result = run_once(
         benchmark,
         fig3b_minflood.run,
-        preset=Preset(name="bench", settings=bench_settings, depths=DEPTHS, probe_duration=0.4),
-        jobs=bench_jobs,
+        RunConfig(
+            preset=Preset(name="bench", settings=bench_settings, depths=DEPTHS, probe_duration=0.4),
+            jobs=bench_jobs,
+        ),
     )
     print()
     print(result.table())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments import table1_http
+from repro.experiments import RunConfig, table1_http
 from repro.experiments.presets import Preset
 
 DEPTHS = (1, 16, 32, 64)
@@ -22,8 +22,10 @@ def test_table1_http_performance(benchmark, bench_settings, bench_jobs):
     result = run_once(
         benchmark,
         table1_http.run,
-        preset=Preset(name="bench", settings=bench_settings, depths=DEPTHS, vpg_counts=VPG_COUNTS),
-        jobs=bench_jobs,
+        RunConfig(
+            preset=Preset(name="bench", settings=bench_settings, depths=DEPTHS, vpg_counts=VPG_COUNTS),
+            jobs=bench_jobs,
+        ),
     )
     print()
     print(result.table())

@@ -84,6 +84,7 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
+from repro.chaos import ChaosCollector, ChaosConfig
 from repro.core.parallel import resolve_jobs
 from repro.experiments import RunConfig, runner
 from repro.firewall.compiled import compiled_enabled, set_compiled_enabled
@@ -126,10 +127,18 @@ def _timed_run(
         quick=True,
         config=RunConfig(
             jobs=jobs,
-            metrics=metrics,
-            trace=trace,
-            profile=profile,
-            invariants=invariants,
+            instruments=tuple(
+                instrument
+                for instrument in (
+                    metrics,
+                    trace,
+                    profile,
+                    ChaosCollector(ChaosConfig(invariants=invariants))
+                    if invariants is not None
+                    else None,
+                )
+                if instrument is not None
+            ),
         ),
     )
     elapsed = time.perf_counter() - start

@@ -1,11 +1,13 @@
-"""Process-wide chaos activation, mirroring :mod:`repro.obs.collect`.
+"""Chaos and invariant monitoring as a sweep instrument.
 
 Sweep workers can't reach into an experiment function to hand it a
-chaos schedule, so activation follows the metrics-collection pattern:
-the worker calls :func:`activate` before invoking the experiment
-function, every testbed constructor calls :func:`attach_testbed` (a
-no-op single check when chaos is inactive), and the worker calls
-:func:`deactivate` afterwards to harvest what happened.
+chaos schedule, so chaos follows the instrument protocol of
+:mod:`repro.instruments`: while a :class:`ChaosConfig` is active in a
+process, every testbed built there arms the configured scenario and
+invariant monitors once its construction completes, and closing the
+window harvests what happened into one :class:`ChaosSnapshot` per
+point.  The parent-side :class:`ChaosCollector` receives them in spec
+order, so violations found in ``warn`` mode reach the caller.
 
 Activation state is per-process; with process-pool sweeps each worker
 activates independently, which is exactly the isolation wanted.
@@ -14,10 +16,41 @@ activates independently, which is exactly the isolation wanted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import ClassVar, List, Optional
 
+from repro import instruments
 from repro.chaos.invariants import MODES, InvariantMonitor, InvariantViolation
 from repro.chaos.schedule import SCENARIOS, ChaosInjector, build_scenario
+
+
+@dataclass(frozen=True)
+class ChaosConfig:
+    """Picklable chaos recipe applied to every testbed of a sweep point.
+
+    ``scenario`` names a scenario from
+    :data:`~repro.chaos.schedule.SCENARIOS` to arm on every testbed;
+    ``invariants`` (``"warn"`` or ``"fail-fast"``) attaches an
+    :class:`InvariantMonitor` to each.  Either may be None.
+    """
+
+    rank: ClassVar[int] = instruments.CHAOS
+
+    scenario: Optional[str] = None
+    invariants: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.scenario is not None and self.scenario not in SCENARIOS:
+            raise ValueError(
+                f"unknown chaos scenario {self.scenario!r}; "
+                f"choose from {', '.join(SCENARIOS)}"
+            )
+        if self.invariants is not None and self.invariants not in MODES:
+            raise ValueError(
+                f"invariants mode must be one of {MODES}, got {self.invariants!r}"
+            )
+
+    def activate(self) -> "_ActiveChaos":
+        return _ActiveChaos(self)
 
 
 @dataclass
@@ -36,79 +69,63 @@ class ChaosSnapshot:
 
 
 @dataclass
-class _ChaosState:
-    scenario: Optional[str]
-    invariants: Optional[str]
-    injectors: List[ChaosInjector] = field(default_factory=list)
-    monitors: List[InvariantMonitor] = field(default_factory=list)
+class PointChaos:
+    """Chaos outcome of one sweep point."""
+
+    label: str
+    snapshots: List[ChaosSnapshot] = field(default_factory=list)
 
 
-_ACTIVE: Optional[_ChaosState] = None
+class ChaosCollector(instruments.Collector):
+    """Parent-side accumulator of per-point chaos snapshots."""
+
+    point_type = PointChaos
+
+    def violations(self) -> List[InvariantViolation]:
+        """Every invariant violation collected so far, in collection order."""
+        return [
+            violation
+            for point in self.points
+            for snapshot in point.snapshots
+            for violation in snapshot.violations
+        ]
 
 
-def chaos_active() -> bool:
-    """True while an activation window is open in this process."""
-    return _ACTIVE is not None
+class _ActiveChaos(instruments.Active):
+    """Injectors and monitors armed while one sweep point runs here."""
 
+    def __init__(self, config: ChaosConfig):
+        self.config = config
+        self.injectors: List[ChaosInjector] = []
+        self.monitors: List[InvariantMonitor] = []
 
-def activate(chaos: Optional[str] = None, invariants: Optional[str] = None) -> None:
-    """Open an activation window.
+    def built(self, bed) -> None:
+        """Arm the scenario and monitors on a freshly built testbed."""
+        injector: Optional[ChaosInjector] = None
+        if self.config.scenario is not None:
+            injector = ChaosInjector(bed, build_scenario(self.config.scenario))
+            injector.arm()
+            self.injectors.append(injector)
+            bed.chaos = injector
+        if self.config.invariants is not None:
+            monitor = InvariantMonitor(bed, mode=self.config.invariants, injector=injector)
+            self.monitors.append(monitor)
+            bed.invariant_monitor = monitor
 
-    ``chaos`` names a scenario from
-    :data:`~repro.chaos.schedule.SCENARIOS` to arm on every testbed
-    built inside the window; ``invariants`` (``"warn"`` or
-    ``"fail-fast"``) attaches an :class:`InvariantMonitor` to each.
-    Either may be None; activating with both None is a no-op window.
-    """
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("chaos runtime already active")
-    if chaos is not None and chaos not in SCENARIOS:
-        raise ValueError(
-            f"unknown chaos scenario {chaos!r}; choose from {', '.join(SCENARIOS)}"
+    def deactivate(self, ok: bool) -> List[ChaosSnapshot]:
+        """Finalize the monitors and summarise the point.
+
+        With ``ok`` False the monitors' final sweep is skipped: the run
+        already failed, and end-state invariants of a half-finished run
+        would mask the original error.  A fail-fast violation found by
+        the final sweep of a successful run raises from here.
+        """
+        snapshot = ChaosSnapshot(
+            scenario=self.config.scenario, invariants=self.config.invariants
         )
-    if invariants is not None and invariants not in MODES:
-        raise ValueError(f"invariants mode must be one of {MODES}, got {invariants!r}")
-    _ACTIVE = _ChaosState(scenario=chaos, invariants=invariants)
-
-
-def attach_testbed(bed) -> None:
-    """Arm the active scenario/monitors on a freshly built testbed.
-
-    Called at the end of every testbed constructor; a single ``is
-    None`` check when chaos is inactive.
-    """
-    if _ACTIVE is None:
-        return
-    injector: Optional[ChaosInjector] = None
-    if _ACTIVE.scenario is not None:
-        schedule = build_scenario(_ACTIVE.scenario)
-        injector = ChaosInjector(bed, schedule)
-        injector.arm()
-        _ACTIVE.injectors.append(injector)
-        bed.chaos = injector
-    if _ACTIVE.invariants is not None:
-        monitor = InvariantMonitor(bed, mode=_ACTIVE.invariants, injector=injector)
-        _ACTIVE.monitors.append(monitor)
-        bed.invariant_monitor = monitor
-
-
-def deactivate(strict: bool = True) -> Optional[ChaosSnapshot]:
-    """Close the window, finalize monitors, return the snapshot.
-
-    ``strict`` False skips the monitors' final sweep (the run already
-    failed; end-state invariants would mask the original error).
-    Returns None when no window was open.
-    """
-    global _ACTIVE
-    state = _ACTIVE
-    _ACTIVE = None
-    if state is None:
-        return None
-    snapshot = ChaosSnapshot(scenario=state.scenario, invariants=state.invariants)
-    for injector in state.injectors:
-        snapshot.faults_injected += injector.injected
-        snapshot.faults_cleared += injector.cleared
-    for monitor in state.monitors:
-        snapshot.violations.extend(monitor.finalize(strict=strict))
-    return snapshot
+        for injector in self.injectors:
+            snapshot.faults_injected += injector.injected
+            snapshot.faults_cleared += injector.cleared
+        for monitor in self.monitors:
+            snapshot.violations.extend(monitor.finalize(strict=ok))
+        return [snapshot]

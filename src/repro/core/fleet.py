@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro import calibration
+from repro import calibration, instruments
 from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
-from repro.chaos import runtime as chaos_runtime
 from repro.apps.iperf import IperfClient, IperfServer, UdpIperfSession
 from repro.core import metrics
 from repro.core.testbed import DeviceKind
@@ -44,9 +43,6 @@ from repro.nic.hardened import HardenedNic
 from repro.nic.standard import StandardNic
 from repro.defense.controller import DefenseConfig, MitigationController
 from repro.defense.detector import FloodDetector
-from repro.obs import collect as obs_collect
-from repro.obs.profiling import collect as profile_collect
-from repro.obs.tracing import collect as trace_collect
 from repro.policy.push import PushBackoff, PushReport
 from repro.policy.server import NicAgent, PolicyServer
 from repro.sim import units
@@ -156,82 +152,75 @@ class FleetTestbed:
             raise ValueError(f"attackers must be >= 0, got {spec.attackers}")
         self.spec = spec
         self.sim = Simulator()
-        obs_collect.attach_simulator(self.sim)
-        trace_collect.attach_simulator(self.sim)
-        profiler = profile_collect.attach_simulator(self.sim)
-        if profiler is not None:
-            profiler.enter("testbed.build")
-        self.rng = RngRegistry(seed)
-        leaf_count = max(1, -(-spec.station_count // spec.stations_per_leaf))
-        spine_count = max(1, -(-leaf_count // spec.leaves_per_spine))
-        self.fabric = FabricTopology(
-            self.sim,
-            leaf_count=leaf_count,
-            spine_count=spine_count,
-            bandwidth_bps=spec.bandwidth_bps,
-            trunk_bandwidth_bps=spec.trunk_bandwidth_bps,
-        )
-        #: Shared pacing wheel for the attacker fleet (one tick per
-        #: flood interval; all attackers fire on the same tick).
-        self.wheel: Optional[TimerWheel] = (
-            TimerWheel(self.sim, tick=1.0 / spec.flood_rate_pps)
-            if spec.use_timer_wheel and spec.attackers > 0
-            else None
-        )
-
-        self.hosts: Dict[str, Host] = {}
-        self.target_names: List[str] = [f"t{i:03d}" for i in range(spec.targets)]
-        self.client_names: List[str] = [f"c{i:03d}" for i in range(spec.targets)]
-        self.attacker_names: List[str] = [f"a{i:03d}" for i in range(spec.attackers)]
-        station_order = (
-            ["policyserver"] + self.target_names + self.client_names + self.attacker_names
-        )
-        for index, name in enumerate(station_order, start=1):
-            host = Host(
+        with instruments.building(self):
+            self.rng = RngRegistry(seed)
+            leaf_count = max(1, -(-spec.station_count // spec.stations_per_leaf))
+            spine_count = max(1, -(-leaf_count // spec.leaves_per_spine))
+            self.fabric = FabricTopology(
                 self.sim,
-                name,
-                ip=Ipv4Address((10 << 24) | index),
-                mac=MacAddress.from_index(index),
-                rng=self.rng,
+                leaf_count=leaf_count,
+                spine_count=spine_count,
+                bandwidth_bps=spec.bandwidth_bps,
+                trunk_bandwidth_bps=spec.trunk_bandwidth_bps,
             )
-            nic = self._build_nic(name)
-            nic.attach(self.fabric.add_station(name))
-            host.attach_nic(nic)
-            self.hosts[name] = host
+            #: Shared pacing wheel for the attacker fleet (one tick per
+            #: flood interval; all attackers fire on the same tick).
+            self.wheel: Optional[TimerWheel] = (
+                TimerWheel(self.sim, tick=1.0 / spec.flood_rate_pps)
+                if spec.use_timer_wheel and spec.attackers > 0
+                else None
+            )
 
-        # Static ARP (isolated fabric, no dynamic ARP model) and primed
-        # MAC tables: warm-up flooding across 500+ stations would swamp
-        # the trunks before the measurement even starts.
-        all_hosts = list(self.hosts.values())
-        for a in all_hosts:
-            arp = a.ip_layer.arp_table
-            for b in all_hosts:
-                if a is not b:
-                    arp[b.ip] = b.mac
-        self.fabric.prime_mac_tables(
-            {name: host.mac for name, host in self.hosts.items()}
-        )
+            self.hosts: Dict[str, Host] = {}
+            self.target_names: List[str] = [f"t{i:03d}" for i in range(spec.targets)]
+            self.client_names: List[str] = [f"c{i:03d}" for i in range(spec.targets)]
+            self.attacker_names: List[str] = [f"a{i:03d}" for i in range(spec.attackers)]
+            station_order = (
+                ["policyserver"] + self.target_names + self.client_names + self.attacker_names
+            )
+            for index, name in enumerate(station_order, start=1):
+                host = Host(
+                    self.sim,
+                    name,
+                    ip=Ipv4Address((10 << 24) | index),
+                    mac=MacAddress.from_index(index),
+                    rng=self.rng,
+                )
+                nic = self._build_nic(name)
+                nic.attach(self.fabric.add_station(name))
+                host.attach_nic(nic)
+                self.hosts[name] = host
 
-        self.policy_server = PolicyServer(self.hosts["policyserver"])
-        self.agents: Dict[str, NicAgent] = {}
-        if spec.device.is_embedded:
-            for name in self.target_names:
-                host = self.hosts[name]
-                agent = NicAgent(host, host.nic)
-                self.agents[name] = agent
-                self.policy_server.register_agent(agent)
+            # Static ARP (isolated fabric, no dynamic ARP model) and primed
+            # MAC tables: warm-up flooding across 500+ stations would swamp
+            # the trunks before the measurement even starts.
+            all_hosts = list(self.hosts.values())
+            for a in all_hosts:
+                arp = a.ip_layer.arp_table
+                for b in all_hosts:
+                    if a is not b:
+                        arp[b.ip] = b.mac
+            self.fabric.prime_mac_tables(
+                {name: host.mac for name, host in self.hosts.items()}
+            )
 
-        self._flood_generators: List[FloodGenerator] = []
-        self._servers: Dict[str, IperfServer] = {}
-        self._sessions: Dict[str, UdpIperfSession] = {}
-        #: The distribution round's per-host outcomes, once
-        #: :meth:`distribute_policies` runs.
-        self.push_report: Optional[PushReport] = None
-        #: The MitigationController once :meth:`enable_defense` runs.
-        self.defense: Optional[MitigationController] = None
-        if profiler is not None:
-            profiler.exit()
-        chaos_runtime.attach_testbed(self)
+            self.policy_server = PolicyServer(self.hosts["policyserver"])
+            self.agents: Dict[str, NicAgent] = {}
+            if spec.device.is_embedded:
+                for name in self.target_names:
+                    host = self.hosts[name]
+                    agent = NicAgent(host, host.nic)
+                    self.agents[name] = agent
+                    self.policy_server.register_agent(agent)
+
+            self._flood_generators: List[FloodGenerator] = []
+            self._servers: Dict[str, IperfServer] = {}
+            self._sessions: Dict[str, UdpIperfSession] = {}
+            #: The distribution round's per-host outcomes, once
+            #: :meth:`distribute_policies` runs.
+            self.push_report: Optional[PushReport] = None
+            #: The MitigationController once :meth:`enable_defense` runs.
+            self.defense: Optional[MitigationController] = None
 
     def _build_nic(self, station: str):
         kind = self.spec.device if station.startswith("t") else DeviceKind.STANDARD

@@ -10,8 +10,8 @@ Grids whose callable is picklable can be evaluated by a process pool
 (``jobs > 1``); point order, recorded parameters and results are
 identical to a serial run (see :mod:`repro.core.parallel`).  The
 executor's fault-tolerance knobs — ``retries``, ``point_timeout``,
-``checkpoint``, ``on_failure`` — and its ``metrics``/``trace``/
-``profile`` collectors pass straight through.
+``checkpoint``, ``on_failure`` — and its ``instruments`` pass straight
+through.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class Sweep:
 
     Each :meth:`run` call replaces :attr:`points` with the new grid's
     records (a reused ``Sweep`` never mixes grids in :meth:`series`).
-    ``metrics``/``trace``/``profile`` collectors and the fault-tolerance
-    knobs (``retries``, ``point_timeout``, ``checkpoint``, ``on_failure``)
-    forward to the :class:`~repro.core.parallel.SweepExecutor`.
+    ``instruments`` (see :mod:`repro.instruments`) and the
+    fault-tolerance knobs (``retries``, ``point_timeout``, ``checkpoint``,
+    ``on_failure``) forward to the :class:`~repro.core.parallel.SweepExecutor`.
 
     Examples
     --------
@@ -66,9 +66,7 @@ class Sweep:
     progress: Optional[Callable[[str], None]] = None
     points: List[SweepPoint] = field(default_factory=list)
     jobs: Optional[int] = 1
-    metrics: Any = None
-    trace: Any = None
-    profile: Any = None
+    instruments: Tuple[Any, ...] = ()
     retries: int = 0
     point_timeout: Optional[float] = None
     checkpoint: Union[SweepCheckpoint, str, None] = None
@@ -90,9 +88,7 @@ class Sweep:
         executor = SweepExecutor(
             jobs=self.jobs,
             progress=self.progress,
-            metrics=self.metrics,
-            trace=self.trace,
-            profile=self.profile,
+            instruments=self.instruments,
             retries=self.retries,
             point_timeout=self.point_timeout,
             checkpoint=self.checkpoint,

@@ -18,8 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Dict
 
-from repro import calibration
-from repro.chaos import runtime as chaos_runtime
+from repro import calibration, instruments
 from repro.defense.controller import DefenseConfig, MitigationController
 from repro.defense.detector import FloodDetector
 from repro.sim import units
@@ -28,9 +27,6 @@ from repro.firewall.ruleset import RuleSet
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.topology import StarTopology
-from repro.obs import collect as obs_collect
-from repro.obs.profiling import collect as profile_collect
-from repro.obs.tracing import collect as trace_collect
 from repro.nic.adf import AdfNic
 from repro.nic.efw import EfwNic
 from repro.nic.hardened import HardenedNic
@@ -99,60 +95,43 @@ class Testbed:
         self.device = device
         self.client_device = client_device
         self.sim = Simulator()
-        # When metrics collection is active in this process (see
-        # repro.obs.collect), swap a real registry onto the fresh kernel
-        # *before* any component is built, so every constructor below
-        # self-registers its instruments into it.
-        obs_collect.attach_simulator(self.sim)
-        # Likewise for tracing: when a trace collection is active, arm
-        # this kernel's tracer (spans, flight recorder, watchdog) per the
-        # active TraceConfig before any packets flow.
-        trace_collect.attach_simulator(self.sim)
-        # And for wall-clock profiling: when a profile collection is
-        # active, the kernel's dispatch loop buckets host-CPU time by
-        # component category (see repro.obs.profiling).  Construction
-        # itself is billed to a "testbed.build" scope (a raising __init__
-        # aborts the point; the snapshot unwinds any dangling scope).
-        profiler = profile_collect.attach_simulator(self.sim)
-        if profiler is not None:
-            profiler.enter("testbed.build")
-        self.rng = RngRegistry(seed)
-        self.topology = StarTopology(self.sim, bandwidth_bps=bandwidth_bps)
-        self.hosts: Dict[str, Host] = {}
-        self.agents: Dict[str, NicAgent] = {}
-        #: The MitigationController once :meth:`enable_defense` runs.
-        self.defense = None
+        # Every instrument open in this process (see repro.instruments)
+        # attaches before any component is built and arms once it is.
+        with instruments.building(self):
+            self.rng = RngRegistry(seed)
+            self.topology = StarTopology(self.sim, bandwidth_bps=bandwidth_bps)
+            self.hosts: Dict[str, Host] = {}
+            self.agents: Dict[str, NicAgent] = {}
+            #: The MitigationController once :meth:`enable_defense` runs.
+            self.defense = None
 
-        for index, name in enumerate(STATIONS, start=1):
-            host = Host(
-                self.sim,
-                name,
-                ip=Ipv4Address(f"10.0.0.{index}"),
-                mac=MacAddress.from_index(index),
-                rng=self.rng,
-            )
-            nic = self._build_nic(name, efw_lockup_enabled, ring_size)
-            nic.attach(self.topology.add_station(name))
-            host.attach_nic(nic)
-            self.hosts[name] = host
+            for index, name in enumerate(STATIONS, start=1):
+                host = Host(
+                    self.sim,
+                    name,
+                    ip=Ipv4Address(f"10.0.0.{index}"),
+                    mac=MacAddress.from_index(index),
+                    rng=self.rng,
+                )
+                nic = self._build_nic(name, efw_lockup_enabled, ring_size)
+                nic.attach(self.topology.add_station(name))
+                host.attach_nic(nic)
+                self.hosts[name] = host
 
-        # Static ARP (the isolated segment has no dynamic ARP model).
-        for a in self.hosts.values():
-            for b in self.hosts.values():
-                if a is not b:
-                    a.ip_layer.arp_table[b.ip] = b.mac
+            # Static ARP (the isolated segment has no dynamic ARP model).
+            for a in self.hosts.values():
+                for b in self.hosts.values():
+                    if a is not b:
+                        a.ip_layer.arp_table[b.ip] = b.mac
 
-        self.policy_server = PolicyServer(self.hosts["policyserver"])
-        for station in ("target", "client"):
-            host = self.hosts[station]
-            kind = device if station == "target" else client_device
-            if kind.is_embedded:
-                agent = NicAgent(host, host.nic)
-                self.agents[station] = agent
-                self.policy_server.register_agent(agent)
-        if profiler is not None:
-            profiler.exit()
-        chaos_runtime.attach_testbed(self)
+            self.policy_server = PolicyServer(self.hosts["policyserver"])
+            for station in ("target", "client"):
+                host = self.hosts[station]
+                kind = device if station == "target" else client_device
+                if kind.is_embedded:
+                    agent = NicAgent(host, host.nic)
+                    self.agents[station] = agent
+                    self.policy_server.register_agent(agent)
 
     # ------------------------------------------------------------------
     # Convenience accessors

@@ -3,19 +3,18 @@ the fleet-scale flood workload, and the closed-loop flood defense
 (``mitigation``).
 
 Run them via ``python -m repro.experiments
-[fig2|fig3a|fig3b|table1|ablations|extension|fleet|mitigation|all]`` (add
+[fig2|fig3a|fig3b|table1|ablations|extension|fleet|mitigation|chaos|all]`` (add
 ``--quick`` for reduced grids, ``--metrics DIR`` for per-component time
 series), or call each module's ``run()`` — every module follows the
 shared contract::
 
-    run(config: RunConfig | None = None, **legacy_kwargs)
+    run(config: RunConfig = RunConfig())
 
 One :class:`RunConfig` carries everything that shapes a run: the sweep
-grid (``preset``), execution (``progress``, ``jobs``), observability
-(``metrics``, ``trace``) and fault tolerance (``checkpoint``,
-``retries``, ``point_timeout``, ``on_failure``).  The legacy per-keyword
-form (``run(preset=..., jobs=...)``) still works but emits a
-:class:`DeprecationWarning`.
+grid (``preset``), execution (``progress``, ``jobs``), the attached
+``instruments`` (metrics, tracing, profiling, chaos; see
+:mod:`repro.instruments`) and fault tolerance (``checkpoint``,
+``retries``, ``point_timeout``, ``on_failure``).
 """
 
 from repro.experiments.config import RunConfig

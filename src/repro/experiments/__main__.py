@@ -7,6 +7,7 @@ import os
 import sys
 import time
 
+from repro.chaos.runtime import ChaosCollector, ChaosConfig
 from repro.chaos.schedule import SCENARIOS as CHAOS_SCENARIOS
 from repro.core.checkpoint import SweepCheckpoint
 from repro.core.parallel import JOBS_ENV_VAR, SweepError, resolve_jobs
@@ -244,16 +245,9 @@ def main(argv=None) -> int:
     selected = args.ids
     if "all" in selected:
         selected = experiment_ids()
-    if args.json is not None:
-        os.makedirs(args.json, exist_ok=True)
-    if args.metrics is not None:
-        os.makedirs(args.metrics, exist_ok=True)
-    if args.trace is not None:
-        os.makedirs(args.trace, exist_ok=True)
-    if args.profile is not None:
-        os.makedirs(args.profile, exist_ok=True)
-    if args.checkpoint is not None:
-        os.makedirs(args.checkpoint, exist_ok=True)
+    for directory in (args.json, args.metrics, args.trace, args.profile, args.checkpoint):
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
     tracing = args.trace is not None or args.flight_recorder
     trace_config = TraceConfig(
         spans=args.trace is not None,
@@ -277,6 +271,11 @@ def main(argv=None) -> int:
             if args.profile is not None
             else None
         )
+        chaos = (
+            ChaosCollector(ChaosConfig(args.chaos, args.invariants))
+            if args.chaos is not None or args.invariants is not None
+            else None
+        )
         checkpoint = None
         if args.checkpoint is not None:
             checkpoint = SweepCheckpoint(
@@ -287,15 +286,15 @@ def main(argv=None) -> int:
             preset=preset_name,
             progress=progress,
             jobs=jobs,
-            metrics=collector,
-            trace=tracer,
-            profile=profiler,
+            instruments=tuple(
+                instrument
+                for instrument in (collector, tracer, profiler, chaos)
+                if instrument is not None
+            ),
             checkpoint=checkpoint,
             retries=args.retries,
             point_timeout=args.point_timeout,
             on_failure="record" if args.keep_going else "raise",
-            chaos=args.chaos,
-            invariants=args.invariants,
         )
         try:
             result = run_experiment_result(experiment_id, config=config)
@@ -363,6 +362,9 @@ def main(argv=None) -> int:
                     f"(wrote {chrome_path}, {jsonl_path} and {summary_path})",
                     file=sys.stderr,
                 )
+        if chaos is not None:
+            for violation in chaos.violations():
+                print(f"  !! {violation.describe()}", file=sys.stderr)
         if profiler is not None:
             profile = profiler.experiment(experiment_id)
             json_path = os.path.join(args.profile, f"{experiment_id}_profile.json")

@@ -67,7 +67,7 @@ def _muted_minflood_point(settings: MeasurementSettings, depth: int) -> float:
 def response_traffic(
     settings: Optional[MeasurementSettings] = None,
     depth: int = 32,
-    config: Optional[RunConfig] = None,
+    config: RunConfig = RunConfig(),
 ) -> AblationResult:
     """Allowed-flood minimum DoS rate, with and without host responses.
 
@@ -93,7 +93,7 @@ def response_traffic(
             kwargs={"settings": settings, "depth": depth},
         ),
     ]
-    allow, deny, muted = RunConfig.coerce(config).executor().run(specs)
+    allow, deny, muted = config.executor().run(specs)
     result = AblationResult(name="response-traffic (ADF)", unit="min DoS flood (pps)")
     result.outcomes["allowed flood, responses ON"] = allow
     result.outcomes["denied flood (reference)"] = deny
@@ -159,7 +159,7 @@ def _lazy_decrypt_point(
 def lazy_decrypt(
     settings: Optional[MeasurementSettings] = None,
     vpg_counts: Tuple[int, ...] = (1, 4, 8),
-    config: Optional[RunConfig] = None,
+    config: RunConfig = RunConfig(),
 ) -> AblationResult:
     """ADF VPG bandwidth with lazy vs. eager decryption."""
     settings = settings if settings is not None else MeasurementSettings()
@@ -174,7 +174,7 @@ def lazy_decrypt(
         )
         for lazy, vpg_count in plans
     ]
-    values = RunConfig.coerce(config).executor().run(specs)
+    values = config.executor().run(specs)
     result = AblationResult(name="lazy-decrypt", unit="bandwidth (Mbps)")
     for (lazy, vpg_count), mbps in zip(plans, values):
         mode = "lazy" if lazy else "eager"
@@ -192,7 +192,7 @@ def ring_size(
     settings: Optional[MeasurementSettings] = None,
     ring_sizes: Tuple[int, ...] = (16, 64, 256),
     flood_rate: float = 35000.0,
-    config: Optional[RunConfig] = None,
+    config: RunConfig = RunConfig(),
 ) -> AblationResult:
     """Bandwidth under a near-saturating flood as the RX ring grows."""
     settings = settings if settings is not None else MeasurementSettings()
@@ -204,7 +204,7 @@ def ring_size(
         )
         for size in ring_sizes
     ]
-    values = RunConfig.coerce(config).executor().run(specs)
+    values = config.executor().run(specs)
     result = AblationResult(
         name=f"ring-size (flood {flood_rate:,.0f} pps)", unit="bandwidth (Mbps)"
     )
@@ -279,7 +279,7 @@ def _conntrack_exhaustion_point(settings: MeasurementSettings) -> Tuple[float, f
 def stateful_firewall(
     settings: Optional[MeasurementSettings] = None,
     depth: int = 256,
-    config: Optional[RunConfig] = None,
+    config: RunConfig = RunConfig(),
 ) -> AblationResult:
     """Stateless vs. stateful iptables: CPU cost and state exhaustion.
 
@@ -307,7 +307,7 @@ def stateful_firewall(
             kwargs={"settings": settings},
         ),
     ]
-    executor = RunConfig.coerce(config).executor()
+    executor = config.executor()
     (stateless_mbps, stateless_cpu), (stateful_mbps, stateful_cpu), exhaustion = (
         executor.run(specs)
     )
@@ -323,14 +323,13 @@ def stateful_firewall(
     return result
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> List[AblationResult]:
+def run(config: RunConfig = RunConfig()) -> List[AblationResult]:
     """Run all four ablations (grid knobs: ``vpg_counts``, ``ring_sizes``,
     ``stateful_depth``).
 
-    ``config`` is a :class:`~repro.experiments.RunConfig`; legacy
-    per-keyword calls still work but emit a :class:`DeprecationWarning`.
+    ``config`` is a :class:`~repro.experiments.RunConfig`; results are
+    identical for any ``jobs`` value.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
     preset = config.resolved_preset("ablations")
     settings = preset.settings
     return [

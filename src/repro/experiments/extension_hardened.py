@@ -20,7 +20,7 @@ throughput search the paper could not run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.methodology import (
     FloodToleranceValidator,
@@ -112,15 +112,12 @@ def _hardened_point(
     return bandwidth, flood, tester.search().rate_pps
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> HardenedResult:
+def run(config: RunConfig = RunConfig()) -> HardenedResult:
     """Run the extension comparison (grid knob: ``depths``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; results are
     identical for any ``jobs`` value and with or without collectors.
-    Legacy per-keyword calls still work but emit a
-    :class:`DeprecationWarning`.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
     preset = config.resolved_preset("extension")
     settings = preset.measurement()
     depths = preset.grid("depths", DEFAULT_DEPTHS)

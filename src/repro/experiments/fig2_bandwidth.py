@@ -11,7 +11,7 @@ non-matching VPGs are nearly free* (lazy decryption).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.methodology import FloodToleranceValidator, MeasurementSettings
 from repro.core.parallel import SweepPointSpec
@@ -61,15 +61,12 @@ def _vpg_point(vpg_count: int, settings: MeasurementSettings) -> float:
     return validator.available_bandwidth(vpg_count=vpg_count).mbps
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> Fig2Result:
+def run(config: RunConfig = RunConfig()) -> Fig2Result:
     """Regenerate Figure 2 (grid knobs: ``depths``, ``vpg_counts``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; results are
     identical for any ``jobs`` value and with or without collectors.
-    Legacy per-keyword calls (``run(preset=..., jobs=...)``) still work
-    but emit a :class:`DeprecationWarning`.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
     preset = config.resolved_preset("fig2")
     settings = preset.measurement()
     depths = preset.grid("depths", DEFAULT_DEPTHS)

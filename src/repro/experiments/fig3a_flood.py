@@ -13,7 +13,7 @@ and reaches zero earliest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.methodology import FloodToleranceValidator, MeasurementSettings
 from repro.core.parallel import SweepPointSpec
@@ -63,15 +63,13 @@ def _flood_point(
     return validator.bandwidth_under_flood(rate, vpg_count=vpg_count).mbps
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> Fig3aResult:
+def run(config: RunConfig = RunConfig()) -> Fig3aResult:
     """Regenerate Figure 3a (grid knobs: ``flood_rates``, ``repetitions``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; every point is
     an isolated deterministic simulation, so the result is identical for
-    any ``jobs`` value and with or without collectors.  Legacy
-    per-keyword calls still work but emit a :class:`DeprecationWarning`.
+    any ``jobs`` value and with or without collectors.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
     preset = config.resolved_preset("fig3a")
     flood_rates = preset.grid("flood_rates", DEFAULT_FLOOD_RATES)
     repetitions = preset.grid("repetitions", DEFAULT_REPETITIONS)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.fleet import FleetSpec, FleetTestbed
 from repro.core.methodology import MeasurementSettings
@@ -119,15 +119,12 @@ def _fleet_point(
     )
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> FleetFloodResult:
+def run(config: RunConfig = RunConfig()) -> FleetFloodResult:
     """Run the fleet sweep (grid knobs: ``fleet_sizes``, ``flood_shares``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; results are
     identical for any ``jobs`` value and with or without collectors.
-    Legacy per-keyword calls still work but emit a
-    :class:`DeprecationWarning`.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
     preset = config.resolved_preset("fleet")
     settings = preset.measurement()
     fleet_sizes = preset.grid("fleet_sizes", DEFAULT_FLEET_SIZES)

@@ -2,7 +2,7 @@
 
 Every experiment module exposes the same entry point::
 
-    run(config: RunConfig | None = None, **legacy_kwargs)
+    run(config: RunConfig = RunConfig())
 
 ``config.preset`` carries the sweep grid: measurement windows plus the
 union of grid knobs the experiments understand (``depths``,

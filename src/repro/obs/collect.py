@@ -2,29 +2,22 @@
 
 The experiment sweeps run each point in its own (possibly forked)
 process, so collected metrics must travel back with the point's result.
-The pieces:
-
-* :class:`MetricsCollector` — parent-side storage the experiment modules
-  accept via their ``metrics=`` keyword.  The sweep executor deposits one
-  :class:`PointMetrics` per sweep point **in spec order**, so ``jobs=1``
-  and ``jobs=N`` runs produce identical collections.
-* the process-local *active collection* (:func:`activate` /
-  :func:`deactivate`) — while active, every
-  :class:`~repro.core.testbed.Testbed` built in this process attaches a
-  fresh :class:`~repro.obs.registry.MetricsRegistry` plus a running
-  :class:`~repro.obs.sampler.Sampler` (see :func:`attach_simulator`);
-  :func:`deactivate` snapshots them all, in creation order.
-
-The executor's worker wrapper activates before calling the point
-function and deactivates after, on both the serial and the pooled path —
-one code path, one result.
+:class:`MetricsCollector` is the metrics instrument (see
+:mod:`repro.instruments`): while its :class:`MetricsConfig` is active in
+a process, every kernel built there gets a fresh
+:class:`~repro.obs.registry.MetricsRegistry` plus a running
+:class:`~repro.obs.sampler.Sampler`; closing the window snapshots them
+all, in creation order, and the executor deposits one
+:class:`PointMetrics` per sweep point **in spec order**, so ``jobs=1``
+and ``jobs=N`` runs produce identical collections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List
 
+from repro import instruments
 from repro.obs.instrument import instrument_simulator
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import MetricsSnapshot, Sampler
@@ -60,8 +53,25 @@ class ExperimentMetrics:
     executor: Dict[str, float] = field(default_factory=dict)
 
 
-class MetricsCollector:
-    """Parent-side accumulator passed to ``run(metrics=...)``.
+@dataclass(frozen=True)
+class MetricsConfig:
+    """Picklable metrics recipe applied to every testbed of a sweep point."""
+
+    rank: ClassVar[int] = instruments.METRICS
+
+    #: Virtual-time sampling interval forwarded to every sampler.
+    interval: float = DEFAULT_SAMPLE_INTERVAL
+
+    def __post_init__(self) -> None:
+        if self.interval <= 0:
+            raise ValueError(f"sample interval must be positive, got {self.interval}")
+
+    def activate(self) -> "_ActiveMetrics":
+        return _ActiveMetrics(self.interval)
+
+
+class MetricsCollector(instruments.Collector):
+    """Parent-side accumulator of per-point metric snapshots.
 
     Parameters
     ----------
@@ -74,95 +84,60 @@ class MetricsCollector:
     (retries, timeouts, failures, worker deaths, resumed points).
     """
 
+    point_type = PointMetrics
+
     def __init__(self, interval: float = DEFAULT_SAMPLE_INTERVAL):
-        if interval <= 0:
-            raise ValueError(f"sample interval must be positive, got {interval}")
-        self.interval = float(interval)
-        self.points: List[PointMetrics] = []
+        super().__init__(MetricsConfig(float(interval)))
         self.executor_registry = MetricsRegistry()
 
-    def add_point(self, label: str, snapshots: List[MetricsSnapshot]) -> None:
-        """Deposit one sweep point's snapshots (called by the executor)."""
-        self.points.append(PointMetrics(label=label, snapshots=snapshots))
+    def add_stats(self, stats) -> None:
+        """Mirror a sweep's :class:`~repro.core.parallel.SweepStats`."""
+        registry = self.executor_registry
+        registry.counter("sweep_point_retries").inc(stats.retries)
+        registry.counter("sweep_point_timeouts").inc(stats.timeouts)
+        registry.counter("sweep_point_failures").inc(stats.failures)
+        registry.counter("sweep_worker_deaths").inc(stats.worker_deaths)
+        registry.counter("sweep_points_resumed").inc(stats.resumed)
 
     def clear(self) -> None:
         """Drop everything collected so far."""
-        self.points.clear()
+        super().clear()
         self.executor_registry = MetricsRegistry()
 
     def experiment(self, experiment_id: str) -> ExperimentMetrics:
         """Package the collection for archiving."""
         return ExperimentMetrics(
             experiment_id=experiment_id,
-            interval=self.interval,
+            interval=self.config.interval,
             points=list(self.points),
             executor=self.executor_registry.read_all(),
         )
 
-    def __len__(self) -> int:
-        return len(self.points)
 
-
-# ---------------------------------------------------------------------------
-# Process-local active collection
-# ---------------------------------------------------------------------------
-
-
-class _ActiveCollection:
+class _ActiveMetrics(instruments.Active):
     """Samplers created while one sweep point runs in this process."""
-
-    __slots__ = ("interval", "samplers")
 
     def __init__(self, interval: float):
         self.interval = interval
         self.samplers: List[Sampler] = []
 
+    def attach(self, sim) -> None:
+        """Install a fresh registry on ``sim`` and start sampling it.
 
-_ACTIVE: Optional[_ActiveCollection] = None
+        Every component built on the kernel afterwards self-registers
+        its instruments into the registry.
+        """
+        registry = MetricsRegistry()
+        sim.metrics = registry
+        instrument_simulator(sim)
+        sampler = Sampler(sim, registry, self.interval)
+        sampler.start()
+        self.samplers.append(sampler)
 
-
-def collection_active() -> bool:
-    """True while this process is collecting metrics for a sweep point."""
-    return _ACTIVE is not None
-
-
-def activate(interval: float = DEFAULT_SAMPLE_INTERVAL) -> None:
-    """Begin collecting: testbeds built from now on are instrumented."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("metrics collection is already active in this process")
-    _ACTIVE = _ActiveCollection(float(interval))
-
-
-def deactivate() -> List[MetricsSnapshot]:
-    """Stop collecting and return every sampler's snapshot, in creation order."""
-    global _ACTIVE
-    active = _ACTIVE
-    _ACTIVE = None
-    if active is None:
-        return []
-    snapshots = []
-    for sampler in active.samplers:
-        sampler.stop()
-        snapshots.append(sampler.snapshot())
-    return snapshots
-
-
-def attach_simulator(sim) -> Optional[Tuple[MetricsRegistry, Sampler]]:
-    """Instrument ``sim`` if a collection is active in this process.
-
-    Called by :class:`~repro.core.testbed.Testbed` right after it creates
-    its kernel: installs a fresh registry as ``sim.metrics`` (so every
-    component built afterwards self-registers into it), registers the
-    kernel gauges, and starts a sampler.  Returns None when no collection
-    is active — the testbed then stays on the null registry.
-    """
-    if _ACTIVE is None:
-        return None
-    registry = MetricsRegistry()
-    sim.metrics = registry
-    instrument_simulator(sim)
-    sampler = Sampler(sim, registry, _ACTIVE.interval)
-    sampler.start()
-    _ACTIVE.samplers.append(sampler)
-    return registry, sampler
+    def deactivate(self, ok: bool) -> List[MetricsSnapshot]:
+        """Every sampler's snapshot, in creation order."""
+        snapshots = []
+        for sampler in self.samplers:
+            sampler.stop()
+            snapshots.append(sampler.snapshot())
+        return snapshots

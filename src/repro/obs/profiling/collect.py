@@ -1,33 +1,26 @@
 """Per-sweep-point profile collection, identical for any worker count.
 
-This mirrors :mod:`repro.obs.collect` / :mod:`repro.obs.tracing.collect`
-exactly: sweep points run in (possibly forked) worker processes, so each
-point's profile travels back to the parent with the point's result as a
-picklable :class:`ProfileSnapshot`, deposited into the parent-side
-:class:`ProfileCollector` in spec order — ``jobs=1`` and ``jobs=N``
-produce the same collection structure.
-
-* :class:`ProfileConfig` — the picklable recipe the CLI builds and the
-  executor ships to workers.
-* :class:`ProfileCollector` — parent-side storage the experiment modules
-  accept via ``RunConfig.profile``; one :class:`PointProfile` per point.
-* the process-local *active collection* (:func:`activate` /
-  :func:`deactivate`) — while active, every
-  :class:`~repro.core.testbed.Testbed` built in this process installs
-  the live :class:`~repro.obs.profiling.core.Profiler` onto its kernel
-  (see :func:`attach_simulator`), and the module-level
-  :data:`~repro.obs.profiling.core.ACTIVE` pointer routes synchronous
-  hot paths (rule evaluation) to the same profiler.  :func:`deactivate`
-  snapshots the profiler together with the point's measured wall-clock
-  time, which is what the hotspot report's coverage figure divides by.
+:class:`ProfileCollector` is the profiling instrument (see
+:mod:`repro.instruments`): sweep points run in (possibly forked) worker
+processes, so each point's profile travels back to the parent with the
+point's result as a picklable :class:`ProfileSnapshot`, deposited in
+spec order — ``jobs=1`` and ``jobs=N`` produce the same collection
+structure.  While its :class:`ProfileConfig` is active in a process,
+every kernel built there shares one live
+:class:`~repro.obs.profiling.core.Profiler`, and the module-level
+:data:`~repro.obs.profiling.core.ACTIVE` pointer routes synchronous hot
+paths (rule evaluation) to it.  Closing the window snapshots the
+profiler together with the point's measured wall-clock time, which is
+what the hotspot report's coverage figure divides by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
+from repro import instruments
 from repro.obs.profiling import core as profiling_core
 from repro.obs.profiling.core import NULL_PROFILER, Profiler
 
@@ -36,11 +29,16 @@ from repro.obs.profiling.core import NULL_PROFILER, Profiler
 class ProfileConfig:
     """Picklable profiling recipe applied to every testbed of a point."""
 
+    rank: ClassVar[int] = instruments.PROFILE
+
     #: Record per-call-path self-time (the collapsed-stack/flamegraph
     #: output).  Scope totals are always recorded.
     stacks: bool = True
     #: Rows shown in the rendered hotspot table.
     top: int = 25
+
+    def activate(self) -> "_ActiveProfiling":
+        return _ActiveProfiling(self)
 
 
 @dataclass
@@ -170,20 +168,13 @@ def snapshot_profiler(
     return ProfileSnapshot(entries=entries, stacks=stack_entries, wall_ns=wall_ns)
 
 
-class ProfileCollector:
-    """Parent-side accumulator passed via ``RunConfig.profile``."""
+class ProfileCollector(instruments.Collector):
+    """Parent-side accumulator of per-point profile snapshots."""
+
+    point_type = PointProfile
 
     def __init__(self, config: Optional[ProfileConfig] = None):
-        self.config = config if config is not None else ProfileConfig()
-        self.points: List[PointProfile] = []
-
-    def add_point(self, label: str, snapshots: List[ProfileSnapshot]) -> None:
-        """Deposit one sweep point's snapshots (called by the executor)."""
-        self.points.append(PointProfile(label=label, snapshots=snapshots))
-
-    def clear(self) -> None:
-        """Drop everything collected so far."""
-        self.points.clear()
+        super().__init__(config if config is not None else ProfileConfig())
 
     def experiment(self, experiment_id: str) -> ExperimentProfile:
         """Package the collection for archiving."""
@@ -193,80 +184,29 @@ class ProfileCollector:
 
     def aggregate(self) -> ProfileSnapshot:
         """Merged snapshot over every point collected so far."""
-        return merge_snapshots(
-            [snap for point in self.points for snap in point.snapshots]
-        )
-
-    def __len__(self) -> int:
-        return len(self.points)
+        return self.experiment("").aggregate()
 
 
-# ---------------------------------------------------------------------------
-# Process-local active collection
-# ---------------------------------------------------------------------------
-
-
-class _ActiveProfiling:
+class _ActiveProfiling(instruments.Active):
     """The live profiler while one sweep point runs in this process."""
-
-    __slots__ = ("config", "profiler", "started_ns")
 
     def __init__(self, config: ProfileConfig):
         self.config = config
         self.profiler = Profiler()
         self.started_ns = perf_counter_ns()
+        profiling_core.ACTIVE = self.profiler
 
+    def attach(self, sim) -> None:
+        """Install the live profiler on ``sim``."""
+        sim.profiler = self.profiler
 
-_STATE: Optional[_ActiveProfiling] = None
-
-
-def profiling_active() -> bool:
-    """True while this process is profiling a sweep point."""
-    return _STATE is not None
-
-
-def activate(config: Optional[ProfileConfig] = None) -> Profiler:
-    """Begin profiling: testbeds built from now on share one profiler."""
-    global _STATE
-    if _STATE is not None:
-        raise RuntimeError("profile collection is already active in this process")
-    _STATE = _ActiveProfiling(config if config is not None else ProfileConfig())
-    profiling_core.ACTIVE = _STATE.profiler
-    return _STATE.profiler
-
-
-def deactivate() -> List[ProfileSnapshot]:
-    """Stop profiling and snapshot the point's profiler + wall clock."""
-    global _STATE
-    state = _STATE
-    _STATE = None
-    profiling_core.ACTIVE = None
-    if state is None:
-        return []
-    wall_ns = perf_counter_ns() - state.started_ns
-    return [
-        snapshot_profiler(state.profiler, wall_ns=wall_ns, stacks=state.config.stacks)
-    ]
-
-
-def attach_simulator(sim) -> Optional[Profiler]:
-    """Install the live profiler on ``sim`` when a collection is active.
-
-    Called by :class:`~repro.core.testbed.Testbed` alongside the metrics
-    and tracing attaches.  Returns None when inactive — the kernel then
-    keeps its zero-cost :data:`~repro.obs.profiling.core.NULL_PROFILER`.
-    """
-    if _STATE is None:
-        return None
-    sim.profiler = _STATE.profiler
-    return _STATE.profiler
-
-
-def detach_all() -> None:
-    """Abandon any active collection (test cleanup helper)."""
-    global _STATE
-    _STATE = None
-    profiling_core.ACTIVE = None
+    def deactivate(self, ok: bool) -> List[ProfileSnapshot]:
+        """The point's profiler snapshot and measured wall clock."""
+        profiling_core.ACTIVE = None
+        wall_ns = perf_counter_ns() - self.started_ns
+        return [
+            snapshot_profiler(self.profiler, wall_ns=wall_ns, stacks=self.config.stacks)
+        ]
 
 
 __all__ = [
@@ -279,10 +219,5 @@ __all__ = [
     "ProfileCollector",
     "merge_snapshots",
     "snapshot_profiler",
-    "profiling_active",
-    "activate",
-    "deactivate",
-    "attach_simulator",
-    "detach_all",
     "NULL_PROFILER",
 ]

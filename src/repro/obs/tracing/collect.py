@@ -1,30 +1,24 @@
 """Per-sweep-point trace collection, identical for any worker count.
 
-This mirrors :mod:`repro.obs.collect` exactly: experiment sweeps run each
-point in its own (possibly forked) process, so trace output must travel
-back with the point's result as picklable snapshots, deposited in spec
-order so ``jobs=1`` and ``jobs=N`` produce identical collections.
-
-* :class:`TraceConfig` — the picklable arming recipe the CLI builds and
-  the executor ships to workers.
-* :class:`TraceCollector` — parent-side storage the experiment modules
-  accept via their ``trace=`` keyword; one :class:`PointTrace` per sweep
-  point.
-* the process-local *active collection* (:func:`activate` /
-  :func:`deactivate`) — while active, every
-  :class:`~repro.core.testbed.Testbed` built in this process arms its
-  kernel's tracer (see :func:`attach_simulator`): spans + sampling per
-  the config, a flight recorder and watchdog when requested, and the
-  span-duration histogram bridge whenever the testbed also carries a
-  real metrics registry.  :func:`deactivate` finalizes every watchdog
-  and snapshots every tracer, in creation order.
+:class:`TraceCollector` is the tracing instrument (see
+:mod:`repro.instruments`): experiment sweeps run each point in its own
+(possibly forked) process, so trace output travels back with the
+point's result as picklable snapshots, deposited in spec order so
+``jobs=1`` and ``jobs=N`` produce identical collections.  While its
+:class:`TraceConfig` is active in a process, every kernel built there
+arms its tracer (see :func:`arm_tracer`): spans + sampling per the
+config, a flight recorder and watchdog when requested, and the
+span-duration histogram bridge whenever the kernel also carries a real
+metrics registry.  Closing the window finalizes every watchdog and
+snapshots every tracer, in creation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, ClassVar, List, Optional
 
+from repro import instruments
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.tracing.flight import DEFAULT_FLIGHT_SIZE, FlightRecorder
 from repro.obs.tracing.tracer import SpanRecord, TraceRecord
@@ -34,6 +28,8 @@ from repro.obs.tracing.watchdog import Incident, Watchdog
 @dataclass(frozen=True)
 class TraceConfig:
     """Picklable arming recipe applied to every testbed of a sweep point."""
+
+    rank: ClassVar[int] = instruments.TRACE
 
     #: Record per-packet lifecycle spans (the CLI's ``--trace``).
     spans: bool = True
@@ -46,6 +42,9 @@ class TraceConfig:
     watchdog: bool = True
     max_spans: int = 200_000
     max_records: int = 100_000
+
+    def activate(self) -> "_ActiveTracing":
+        return _ActiveTracing(self)
 
 
 @dataclass
@@ -90,20 +89,28 @@ class ExperimentTrace:
         ]
 
 
-class TraceCollector:
-    """Parent-side accumulator passed to ``run(trace=...)``."""
+class TraceCollector(instruments.Collector):
+    """Parent-side accumulator of per-point trace snapshots."""
+
+    point_type = PointTrace
 
     def __init__(self, config: Optional[TraceConfig] = None):
-        self.config = config if config is not None else TraceConfig()
-        self.points: List[PointTrace] = []
+        super().__init__(config if config is not None else TraceConfig())
 
-    def add_point(self, label: str, snapshots: List[TraceSnapshot]) -> None:
-        """Deposit one sweep point's snapshots (called by the executor)."""
-        self.points.append(PointTrace(label=label, snapshots=snapshots))
-
-    def clear(self) -> None:
-        """Drop everything collected so far."""
-        self.points.clear()
+    def add_failure(self, label: str, failure) -> None:
+        """File a ``sweep-point-failure`` incident for a point that failed."""
+        incident = Incident(
+            kind="sweep-point-failure",
+            source=label,
+            time=0.0,
+            detail={
+                "index": failure.index,
+                "cause": failure.kind,
+                "attempts": failure.attempts,
+                "error": failure.error,
+            },
+        )
+        self.add_point(label, [TraceSnapshot(incidents=[incident])])
 
     def experiment(self, experiment_id: str) -> ExperimentTrace:
         """Package the collection for archiving."""
@@ -113,59 +120,24 @@ class TraceCollector:
 
     def incidents(self) -> List[Incident]:
         """Every incident collected so far, in collection order."""
-        return [
-            incident
-            for point in self.points
-            for snapshot in point.snapshots
-            for incident in snapshot.incidents
-        ]
-
-    def __len__(self) -> int:
-        return len(self.points)
+        return self.experiment("").incidents()
 
 
-# ---------------------------------------------------------------------------
-# Process-local active collection
-# ---------------------------------------------------------------------------
-
-
-class _ActiveTracing:
+class _ActiveTracing(instruments.Active):
     """Tracers armed while one sweep point runs in this process."""
-
-    __slots__ = ("config", "simulators")
 
     def __init__(self, config: TraceConfig):
         self.config = config
         self.simulators: List[Any] = []
 
+    def attach(self, sim) -> None:
+        """Arm ``sim``'s tracer; call after the metrics attach."""
+        arm_tracer(sim, self.config)
+        self.simulators.append(sim)
 
-_ACTIVE: Optional[_ActiveTracing] = None
-
-
-def tracing_active() -> bool:
-    """True while this process is collecting traces for a sweep point."""
-    return _ACTIVE is not None
-
-
-def activate(config: Optional[TraceConfig] = None) -> None:
-    """Begin collecting: testbeds built from now on arm their tracers."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("trace collection is already active in this process")
-    _ACTIVE = _ActiveTracing(config if config is not None else TraceConfig())
-
-
-def deactivate() -> List[TraceSnapshot]:
-    """Stop collecting and snapshot every armed tracer, in creation order."""
-    global _ACTIVE
-    active = _ACTIVE
-    _ACTIVE = None
-    if active is None:
-        return []
-    snapshots = []
-    for sim in active.simulators:
-        snapshots.append(snapshot_tracer(sim.tracer, now=sim.now))
-    return snapshots
+    def deactivate(self, ok: bool) -> List[TraceSnapshot]:
+        """Every armed tracer's snapshot, in creation order."""
+        return [snapshot_tracer(sim.tracer, now=sim.now) for sim in self.simulators]
 
 
 def snapshot_tracer(tracer, now: Optional[float] = None) -> TraceSnapshot:
@@ -195,19 +167,4 @@ def arm_tracer(sim, config: TraceConfig):
         Watchdog(tracer)
     if sim.metrics is not NULL_REGISTRY:
         tracer.bridge_metrics(sim.metrics)
-    return tracer
-
-
-def attach_simulator(sim):
-    """Arm ``sim``'s tracer if a trace collection is active in this process.
-
-    Called by :class:`~repro.core.testbed.Testbed` right after the
-    metrics attach (so the histogram bridge can see a real registry when
-    both collections are active).  Returns None when inactive — the
-    testbed then keeps the cold default tracer.
-    """
-    if _ACTIVE is None:
-        return None
-    tracer = arm_tracer(sim, _ACTIVE.config)
-    _ACTIVE.simulators.append(sim)
     return tracer

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import instruments
 from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
 from repro.chaos import (
     AgentCrash,
+    ChaosCollector,
+    ChaosConfig,
     ChaosInjector,
     ChaosSchedule,
     InvariantMonitor,
@@ -14,10 +17,8 @@ from repro.chaos import (
     PolicyServerOutage,
     SwitchPortFail,
     build_scenario,
-    chaos_active,
     note_flood,
 )
-from repro.chaos import runtime as chaos_runtime
 from repro.chaos.faults import resolve_station
 from repro.core.fleet import FleetSpec, FleetTestbed
 from repro.core.methodology import MeasurementSettings
@@ -29,12 +30,10 @@ from repro.policy.audit import AuditEventKind
 
 @pytest.fixture(autouse=True)
 def _no_leaked_activation():
-    """Every test starts and ends with the chaos runtime inactive."""
-    if chaos_active():
-        chaos_runtime.deactivate(strict=False)
+    """Every test starts and ends with no instrument window open."""
+    instruments.deactivate(ok=False)
     yield
-    if chaos_active():
-        chaos_runtime.deactivate(strict=False)
+    instruments.deactivate(ok=False)
 
 
 def _efw_bed(seed=1, defended=False):
@@ -301,27 +300,27 @@ class TestInvariants:
 
 class TestRuntime:
     def test_activation_arms_every_new_testbed(self):
-        chaos_runtime.activate(chaos="link-flap", invariants="warn")
+        instruments.activate([ChaosConfig("link-flap", "warn")])
         bed = _efw_bed()
         assert bed.chaos is not None
         assert bed.invariant_monitor is not None
         bed.run(0.3)
-        snapshot = chaos_runtime.deactivate()
+        [(snapshot,)] = instruments.deactivate(ok=True)
         assert (snapshot.faults_injected, snapshot.faults_cleared) == (1, 1)
         assert snapshot.clean
         assert snapshot.scenario == "link-flap"
 
     def test_double_activation_raises(self):
-        chaos_runtime.activate(invariants="warn")
+        instruments.activate([ChaosConfig(invariants="warn")])
         with pytest.raises(RuntimeError):
-            chaos_runtime.activate(invariants="warn")
+            instruments.activate([ChaosConfig(invariants="warn")])
 
     def test_unknown_scenario_and_mode_rejected(self):
         with pytest.raises(ValueError):
-            chaos_runtime.activate(chaos="nonesuch")
+            ChaosConfig(scenario="nonesuch")
         with pytest.raises(ValueError):
-            chaos_runtime.activate(invariants="nonesuch")
-        assert not chaos_active()
+            ChaosConfig(invariants="nonesuch")
+        assert not instruments.active()
 
     def test_inactive_attach_is_a_noop(self):
         bed = _efw_bed()
@@ -329,7 +328,7 @@ class TestRuntime:
         assert getattr(bed, "invariant_monitor", None) is None
 
     def test_deactivate_without_window_returns_none(self):
-        assert chaos_runtime.deactivate() is None
+        assert instruments.deactivate(ok=True) == []
 
 
 def _probe_point(seed):
@@ -344,6 +343,16 @@ def _probe_point(seed):
     return (nic.frames_received, nic.packets_delivered, nic.rx_allowed)
 
 
+def _tampered_point():
+    """A picklable sweep point whose end state breaks packet conservation."""
+    bed = Testbed(device=DeviceKind.EFW, seed=1, efw_lockup_enabled=False)
+    bed.install_target_policy(allow_all())
+    bed.run(0.05)
+    nic = bed.target.nic
+    nic.packets_delivered = nic.frames_received + 1
+    return "done"
+
+
 class TestExecutorWiring:
     def _specs(self):
         return [
@@ -353,18 +362,34 @@ class TestExecutorWiring:
 
     def test_invariants_leave_results_identical(self):
         plain = SweepExecutor(jobs=1).run(self._specs())
-        watched = SweepExecutor(jobs=1, invariants="warn").run(self._specs())
+        watched = SweepExecutor(
+            jobs=1, instruments=(ChaosCollector(ChaosConfig(invariants="warn")),)
+        ).run(self._specs())
         assert watched == plain
 
     def test_chaos_scenario_actually_perturbs_the_sweep(self):
         plain = SweepExecutor(jobs=1).run(self._specs())
-        flapped = SweepExecutor(jobs=1, chaos="link-flap").run(self._specs())
+        flapped = SweepExecutor(
+            jobs=1, instruments=(ChaosCollector(ChaosConfig("link-flap")),)
+        ).run(self._specs())
         # The client link goes down mid-flood: fewer frames arrive.
         assert flapped[0][0] < plain[0][0]
 
+    def test_warn_violations_reach_the_collector(self):
+        collector = ChaosCollector(ChaosConfig(invariants="warn"))
+        specs = [SweepPointSpec(label="tampered", fn=_tampered_point, kwargs={})]
+        assert SweepExecutor(jobs=1, instruments=(collector,)).run(specs) == ["done"]
+        [point] = collector.points
+        assert point.label == "tampered"
+        violations = collector.violations()
+        assert violations and all(v.invariant == "packet-conservation" for v in violations)
+        assert any(v.subject == "target.efw" for v in violations)
+
     def test_worker_deactivates_between_points(self):
-        SweepExecutor(jobs=1, chaos="link-flap", invariants="warn").run(self._specs())
-        assert not chaos_active()
+        SweepExecutor(
+            jobs=1, instruments=(ChaosCollector(ChaosConfig("link-flap", "warn")),)
+        ).run(self._specs())
+        assert not instruments.active()
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +467,20 @@ class TestChaosExperiment:
 
         preset = _mini_preset(scenarios=("link-flap",), duration=0.08, slices=2)
         result = chaos_faults.run(
-            RunConfig(preset=preset, jobs=1, invariants="fail-fast")
+            RunConfig(
+                preset=preset,
+                jobs=1,
+                instruments=(ChaosCollector(ChaosConfig(invariants="fail-fast")),),
+            )
         )
         assert len(result.points) == 4
-        assert not chaos_active()
+        assert not instruments.active()
+
+
+def _tampered_sweep_entry(config):
+    """A stub experiment entry that sweeps one tampered point."""
+    config.executor().run([SweepPointSpec(label="tampered", fn=_tampered_point, kwargs={})])
+    return "STUB-TABLE"
 
 
 class TestCliFlags:
@@ -462,3 +497,17 @@ class TestCliFlags:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["fig2", "--quick", "--preset", "full"])
         assert excinfo.value.code == 2
+
+    def test_warn_violations_are_printed_without_tracing(self, monkeypatch, capsys):
+        from repro.experiments import __main__ as cli
+        from repro.experiments import runner
+
+        spec = runner.ExperimentSpec("stub", "a stub", _tampered_sweep_entry)
+        monkeypatch.setattr(runner, "REGISTRY", {"stub": spec})
+        monkeypatch.setattr(cli, "run_experiment_result", runner.run_experiment_result)
+        monkeypatch.setattr(cli, "experiment_ids", runner.experiment_ids)
+        assert cli.main(["stub", "--jobs", "1", "--invariants", "warn", "--no-progress"]) == 0
+        captured = capsys.readouterr()
+        assert "STUB-TABLE" in captured.out
+        flagged = [line for line in captured.err.splitlines() if line.startswith("  !! ")]
+        assert any("packet-conservation target.efw" in line for line in flagged)

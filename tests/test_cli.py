@@ -23,7 +23,7 @@ def _stub_entry(output="FULL-OUTPUT", quick_output="QUICK-OUTPUT"):
 def _recording_run(seen):
     """A run_experiment_result stand-in that records its RunConfig."""
 
-    def fake_run(experiment_id, quick=False, config=None, **legacy):
+    def fake_run(experiment_id, quick=False, config=None):
         seen.append((experiment_id, config))
         return "output"
 
@@ -65,7 +65,7 @@ class TestCli:
         assert [experiment_id for experiment_id, _ in seen] == runner.experiment_ids()
 
     def test_progress_goes_to_stderr(self, monkeypatch, capsys):
-        def fake_run(experiment_id, quick=False, config=None, **legacy):
+        def fake_run(experiment_id, quick=False, config=None):
             if config.progress is not None:
                 config.progress("step one")
             return "output"
@@ -184,14 +184,15 @@ def _cli_tick():
 
 
 def _profiled_point() -> bool:
-    from repro.obs.profiling import collect as profile_collect
+    from repro import instruments
+    from repro.obs.profiling import NULL_PROFILER
     from repro.sim.engine import Simulator
 
     sim = Simulator()
-    attached = profile_collect.attach_simulator(sim)
+    instruments.attach(sim)
     sim.schedule(0.01, _cli_tick)
     sim.run(until=0.02)
-    return attached is not None
+    return sim.profiler is not NULL_PROFILER
 
 
 class TestProfileFlag:

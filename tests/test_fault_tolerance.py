@@ -16,7 +16,8 @@ import signal
 
 import pytest
 
-from repro.core.checkpoint import SweepCheckpoint
+from repro.chaos import ChaosCollector, ChaosConfig
+from repro.core.checkpoint import CHECKPOINT_SCHEMA_VERSION, SweepCheckpoint
 from repro.core.parallel import (
     PointFailure,
     SweepError,
@@ -24,8 +25,13 @@ from repro.core.parallel import (
     SweepPointSpec,
 )
 from repro.core.sweeps import Sweep
-from repro.experiments.results import to_json
-from repro.obs import MetricsCollector
+from repro.experiments.results import serialize, to_json
+from repro.obs import (
+    MetricsCollector,
+    ProfileCollector,
+    TraceCollector,
+    TraceConfig,
+)
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +81,31 @@ def _fail_once(x, marker):
             pass
         raise ValueError(f"transient failure at {x}")
     return x * x
+
+
+def _bed_point(seed):
+    """Build a small testbed, flood it briefly, return its NIC counters."""
+    from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
+    from repro.core.testbed import DeviceKind, Testbed
+    from repro.firewall.builders import allow_all
+
+    bed = Testbed(device=DeviceKind.EFW, seed=seed, efw_lockup_enabled=False)
+    bed.install_target_policy(allow_all())
+    flood = FloodGenerator(bed.client, FloodSpec(kind=FloodKind.UDP, dst_port=7777))
+    flood.start(bed.target.ip, 2000)
+    bed.run(0.05)
+    flood.stop()
+    nic = bed.target.nic
+    return (nic.frames_received, nic.packets_delivered)
+
+
+def _instruments():
+    return (
+        MetricsCollector(),
+        TraceCollector(TraceConfig(spans=False)),
+        ProfileCollector(),
+        ChaosCollector(ChaosConfig(invariants="warn")),
+    )
 
 
 def _specs(values):
@@ -317,6 +348,59 @@ class TestCheckpointResume:
         assert executor.run(_specs([3])) == [9]
         assert executor.stats.resumed == 1
 
+    def test_resume_with_every_instrument_attached(self, tmp_path):
+        path = str(tmp_path / "ckpt.jsonl")
+        specs = [
+            SweepPointSpec(label=f"bed seed={seed}", fn=_bed_point, kwargs={"seed": seed})
+            for seed in (1, 2, 3, 4)
+        ]
+        # Interrupted: only the first half reaches the checkpoint.
+        first = _instruments()
+        with SweepCheckpoint(path, resume=False) as checkpoint:
+            SweepExecutor(jobs=1, instruments=first, checkpoint=checkpoint).run(specs[:2])
+        # Resumed at jobs=2: the first half is restored, the rest runs.
+        resumed = _instruments()
+        with SweepCheckpoint(path, resume=True) as checkpoint:
+            executor = SweepExecutor(jobs=2, instruments=resumed, checkpoint=checkpoint)
+            values = executor.run(specs)
+        assert executor.stats.resumed == 2
+        clean = _instruments()
+        assert to_json(values) == to_json(SweepExecutor(jobs=1, instruments=clean).run(specs))
+        metrics, trace, profile, chaos = resumed
+        for got, want in zip((metrics, trace, chaos), (clean[0], clean[1], clean[3])):
+            assert serialize(got.points) == serialize(want.points)
+        # Profiles measure host time: restored points equal what was
+        # checkpointed, fresh points match the clean run's structure.
+        assert serialize(profile.points[:2]) == serialize(first[2].points)
+        assert [p.label for p in profile.points] == [p.label for p in clean[2].points]
+        assert all(len(point.snapshots) == 1 for point in profile.points)
+        assert len(chaos.points) == 4 and not chaos.violations()
+
+        # A second resume restores every point: every collector
+        # serializes identically to the one it was restored from.
+        again = _instruments()
+        with SweepCheckpoint(path, resume=True) as checkpoint:
+            executor = SweepExecutor(jobs=2, instruments=again, checkpoint=checkpoint)
+            assert to_json(executor.run(specs)) == to_json(values)
+        assert executor.stats.resumed == 4
+        for got, want in zip(again, resumed):
+            assert serialize(got.points) == serialize(want.points)
+
+    def test_older_schema_records_rerun(self, tmp_path):
+        path = str(tmp_path / "ckpt.jsonl")
+        with SweepCheckpoint(path, resume=False) as checkpoint:
+            SweepExecutor(jobs=1, checkpoint=checkpoint).run(_specs([2]))
+        with open(path, encoding="utf-8") as stream:
+            text = stream.read()
+        current = f'"schema_version":{CHECKPOINT_SCHEMA_VERSION}'
+        assert current in text
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.write(text.replace(current, '"schema_version":1'))
+        with SweepCheckpoint(path, resume=True) as checkpoint:
+            executor = SweepExecutor(jobs=1, checkpoint=checkpoint)
+            assert executor.run(_specs([2])) == [4]
+        assert executor.stats.resumed == 0
+
     def test_changed_config_ignores_stale_records(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
         with SweepCheckpoint(path, resume=False) as checkpoint:
@@ -363,7 +447,7 @@ class TestSweepWrapper:
 
     def test_metrics_collector_is_forwarded(self):
         collector = MetricsCollector(interval=0.5)
-        sweep = Sweep(_square, jobs=1, metrics=collector)
+        sweep = Sweep(_square, jobs=1, instruments=(collector,))
         sweep.run({"x": [1, 2]})
         assert len(collector) == 2  # one deposit per point, spec order
 
@@ -388,7 +472,7 @@ class TestExecutorCounters:
                 label="flaky", fn=_fail_once, kwargs={"x": 3, "marker": marker}
             )
         ]
-        executor = SweepExecutor(jobs=1, metrics=collector, retries=1)
+        executor = SweepExecutor(jobs=1, instruments=(collector,), retries=1)
         executor.run(specs)
         counters = collector.executor_registry.read_all()
         assert counters["sweep_point_retries"] == 1
@@ -405,7 +489,7 @@ class TestExecutorCounters:
             SweepPointSpec(label="doomed", fn=_fail_always, kwargs={"x": 9}),
         ]
         executor = SweepExecutor(
-            jobs=1, trace=tracer, on_failure="record"
+            jobs=1, instruments=(tracer,), on_failure="record"
         )
         executor.run(specs)
         incidents = tracer.incidents()

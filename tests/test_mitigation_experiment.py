@@ -99,12 +99,6 @@ class TestRunContract:
         assert parallel.points == tiny_result.points
         assert parallel.fleet_points == tiny_result.fleet_points
 
-    def test_legacy_keywords_warn_but_work(self):
-        preset = tiny_preset(defense_modes=("off",))
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            result = mitigation.run(preset=preset)
-        assert [p.mode for p in result.points] == ["off", "off"]
-
     def test_registered_with_the_runner(self):
         from repro.experiments import runner
 

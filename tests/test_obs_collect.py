@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import instruments
 from repro.core.parallel import SweepExecutor, SweepPointSpec
 from repro.experiments.results import serialize
-from repro.obs import collect
-from repro.obs.collect import MetricsCollector
+from repro.obs.collect import MetricsCollector, MetricsConfig
 from repro.obs.export import CSV_COLUMNS, flatten_rows, write_metrics_csv
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.sim.engine import Simulator
@@ -15,36 +15,37 @@ from repro.sim.engine import Simulator
 def _clean_collection_state():
     """Never leak an active collection between tests."""
     yield
-    if collect.collection_active():
-        collect.deactivate()
+    instruments.deactivate(ok=False)
 
 
 class TestActivation:
     def test_inactive_by_default(self):
-        assert not collect.collection_active()
-        assert collect.attach_simulator(Simulator()) is None
-        assert collect.deactivate() == []
+        assert not instruments.active()
+        sim = Simulator()
+        instruments.attach(sim)
+        assert sim.metrics is NULL_REGISTRY
+        assert instruments.deactivate(ok=True) == []
 
     def test_activate_attach_deactivate_cycle(self):
-        collect.activate(interval=0.05)
-        assert collect.collection_active()
+        instruments.activate([MetricsConfig(interval=0.05)])
+        assert instruments.active()
         sim = Simulator()
-        registry, sampler = collect.attach_simulator(sim)
-        assert sim.metrics is registry
+        instruments.attach(sim)
+        registry = sim.metrics
         assert isinstance(registry, MetricsRegistry)
         # The kernel's own instruments are registered on attach.
         assert registry.get("sim_events_executed", component="engine") is not None
         sim.run(until=0.2)
-        snapshots = collect.deactivate()
-        assert not collect.collection_active()
+        [snapshots] = instruments.deactivate(ok=True)
+        assert not instruments.active()
         assert len(snapshots) == 1
         assert snapshots[0].interval == 0.05
         assert snapshots[0].find("sim_events_executed", component="engine") is not None
 
     def test_double_activate_rejected(self):
-        collect.activate()
+        instruments.activate([MetricsConfig()])
         with pytest.raises(RuntimeError):
-            collect.activate()
+            instruments.activate([MetricsConfig()])
 
     def test_simulator_stays_null_when_inactive(self):
         sim = Simulator()
@@ -58,9 +59,9 @@ class TestActivation:
 def _metric_point(count: int) -> float:
     """A sweep point that self-instruments (picklable for the pool path)."""
     sim = Simulator()
-    attached = collect.attach_simulator(sim)
-    assert attached is not None, "executor should activate collection"
-    registry, _sampler = attached
+    instruments.attach(sim)
+    registry = sim.metrics
+    assert registry is not NULL_REGISTRY, "executor should activate collection"
     counter = registry.counter("test_events", source="point")
     for step in range(count):
         sim.schedule(0.01 * (step + 1), counter.inc)
@@ -78,7 +79,7 @@ def _specs():
 class TestExecutorMerging:
     def test_serial_executor_deposits_points_in_spec_order(self):
         collector = MetricsCollector(interval=0.01)
-        values = SweepExecutor(jobs=1, metrics=collector).run(_specs())
+        values = SweepExecutor(jobs=1, instruments=(collector,)).run(_specs())
         assert values == [3.0, 5.0, 2.0, 4.0]
         assert [point.label for point in collector.points] == [
             "point count=3",
@@ -91,14 +92,14 @@ class TestExecutorMerging:
 
     def test_jobs_1_and_jobs_n_merge_identically(self):
         serial = MetricsCollector(interval=0.01)
-        SweepExecutor(jobs=1, metrics=serial).run(_specs())
+        SweepExecutor(jobs=1, instruments=(serial,)).run(_specs())
         parallel = MetricsCollector(interval=0.01)
-        SweepExecutor(jobs=2, metrics=parallel).run(_specs())
+        SweepExecutor(jobs=2, instruments=(parallel,)).run(_specs())
         assert serialize(serial.experiment("x")) == serialize(parallel.experiment("x"))
 
     def test_collection_is_inactive_again_after_a_metrics_run(self):
-        SweepExecutor(jobs=1, metrics=MetricsCollector()).run(_specs()[:1])
-        assert not collect.collection_active()
+        SweepExecutor(jobs=1, instruments=(MetricsCollector(),)).run(_specs()[:1])
+        assert not instruments.active()
 
     def test_runs_without_collector_leave_metrics_off(self):
         values = SweepExecutor(jobs=1).run(
@@ -110,13 +111,14 @@ class TestExecutorMerging:
 def _plain_point() -> bool:
     """Without a collector the point's simulators stay on the null registry."""
     sim = Simulator()
-    return sim.metrics is NULL_REGISTRY and collect.attach_simulator(sim) is None
+    instruments.attach(sim)
+    return sim.metrics is NULL_REGISTRY
 
 
 class TestCsvExport:
     def test_flatten_and_write(self, tmp_path):
         collector = MetricsCollector(interval=0.01)
-        SweepExecutor(jobs=1, metrics=collector).run(_specs()[:2])
+        SweepExecutor(jobs=1, instruments=(collector,)).run(_specs()[:2])
         experiment = collector.experiment("unit")
         rows = list(flatten_rows(experiment))
         assert rows, "expected at least one sample row"

@@ -8,6 +8,8 @@ to the serial loop instead of failing.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.parallel import (
@@ -31,6 +33,11 @@ def _mul(a, b):
 
 def _fail(message):
     raise ValueError(message)
+
+
+def _slow_square(x, delay):
+    time.sleep(delay)
+    return x * x
 
 
 def _specs(values):
@@ -148,6 +155,31 @@ class TestSweepExecutor:
         assert (0, "ok", 4) in [
             (p.index, p.label, p.value) for p in excinfo.value.completed
         ]
+
+    def test_abort_collects_points_still_in_flight(self):
+        specs = [
+            SweepPointSpec(label="ok", fn=_slow_square, kwargs={"x": 2, "delay": 0.3}),
+            SweepPointSpec(label="boom", fn=_fail, kwargs={"message": "bad point"}),
+        ]
+        with pytest.raises(SweepError, match="bad point") as excinfo:
+            SweepExecutor(jobs=2).run(specs)
+        assert excinfo.value.failure.label == "boom"
+        assert [(p.index, p.label, p.value) for p in excinfo.value.completed] == [
+            (0, "ok", 4)
+        ]
+
+    def test_abort_drain_is_bounded_by_point_timeout(self):
+        specs = [
+            SweepPointSpec(label="slow", fn=_slow_square, kwargs={"x": 2, "delay": 30}),
+            SweepPointSpec(label="boom", fn=_fail, kwargs={"message": "bad point"}),
+        ]
+        started = time.monotonic()
+        with pytest.raises(SweepError, match="bad point") as excinfo:
+            SweepExecutor(jobs=2, point_timeout=0.5).run(specs)
+        assert time.monotonic() - started < 10
+        assert excinfo.value.failure.label == "boom"
+        assert excinfo.value.completed == []
+        assert [f.kind for f in excinfo.value.failures] == ["error", "timeout"]
 
     def test_single_spec_runs_inline(self):
         assert SweepExecutor(jobs=8).run(_specs([5])) == [25]

@@ -71,12 +71,11 @@ class TestExperimentSpecRun:
         calls = []
         spec = runner.ExperimentSpec("fig3a", "t", _recording_entry(calls))
         sentinel_progress = lambda line: None  # noqa: E731
-        sentinel_metrics = object()
-        sentinel_trace = object()
+        sentinel_instruments = (object(), object())
         sentinel_checkpoint = object()
         config = RunConfig(
             preset="quick", progress=sentinel_progress, jobs=3,
-            metrics=sentinel_metrics, trace=sentinel_trace,
+            instruments=sentinel_instruments,
             checkpoint=sentinel_checkpoint, retries=2, point_timeout=30.0,
             on_failure="record",
         )
@@ -87,21 +86,11 @@ class TestExperimentSpecRun:
         assert forwarded.preset is QUICK["fig3a"]
         assert forwarded.progress is sentinel_progress
         assert forwarded.jobs == 3
-        assert forwarded.metrics is sentinel_metrics
-        assert forwarded.trace is sentinel_trace
+        assert forwarded.instruments is sentinel_instruments
         assert forwarded.checkpoint is sentinel_checkpoint
         assert forwarded.retries == 2
         assert forwarded.point_timeout == 30.0
         assert forwarded.on_failure == "record"
-
-    def test_run_accepts_legacy_keywords_with_a_warning(self):
-        calls = []
-        spec = runner.ExperimentSpec("fig3a", "t", _recording_entry(calls))
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            spec.run(preset="quick", jobs=3)
-        [forwarded] = calls
-        assert forwarded.preset is QUICK["fig3a"]
-        assert forwarded.jobs == 3
 
     def test_run_defaults_to_full(self):
         calls = []

@@ -70,20 +70,14 @@ class TestPushReport:
             report.outcome_for("nope")
 
     def test_mapping_view_is_deprecated_but_compatible(self):
-        # One deprecation cycle: dict-style consumers keep working and
-        # get told, once per report, to move to the typed accessors.
+        # The deprecated mapping view is gone; len/contains belong to
+        # the typed API and never warn.
         report = self.build()
-        with pytest.warns(DeprecationWarning, match="PushReport"):
-            assert report["a"].acked
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # Second dict-style access on the same report stays quiet.
-            assert report.get("c").failed
-            assert set(report.keys()) == {"a", "b", "c", "d"}
-            assert sorted(host for host, _ in report.items())[0] == "a"
-            # len/contains are shared with the typed API: never warn.
             assert len(report) == 4
             assert "a" in report
+            assert "z" not in report
 
 
 class TestServerIntegration:

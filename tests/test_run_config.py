@@ -1,14 +1,12 @@
-"""Tests for the unified RunConfig run API and its legacy-kwargs shim."""
-
-import warnings
+"""Tests for the unified RunConfig run API."""
 
 import pytest
 
 from repro.core.methodology import MeasurementSettings
 from repro.core.parallel import ON_FAILURE_RAISE, ON_FAILURE_RECORD
-from repro.experiments import FULL, QUICK, Preset, RunConfig
-from repro.experiments import fig2_bandwidth
-from repro.experiments.results import to_json
+from repro.chaos import ChaosCollector, ChaosConfig
+from repro.experiments import FULL, QUICK, ExperimentSpec, Preset, RunConfig
+from repro.obs import MetricsCollector, ProfileCollector, TraceCollector
 
 TINY = Preset(
     name="tiny",
@@ -19,42 +17,24 @@ TINY = Preset(
 
 
 class TestCoerce:
+    """A RunConfig is the one way to configure a run."""
+
     def test_no_arguments_yields_the_default_config(self):
-        config = RunConfig.coerce(None, {})
-        assert config == RunConfig()
+        config = RunConfig()
         assert config.preset is None and config.retries == 0
+        assert config.instruments == ()
 
     def test_config_passes_through_unchanged(self):
-        config = RunConfig(preset="quick", jobs=2)
-        assert RunConfig.coerce(config, {}) is config
-
-    def test_legacy_kwargs_build_an_equal_config(self):
-        progress = lambda line: None  # noqa: E731
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            coerced = RunConfig.coerce(None, {"preset": TINY, "jobs": 3, "progress": progress})
-        assert coerced == RunConfig(preset=TINY, jobs=3, progress=progress)
-
-    def test_legacy_kwargs_warn_by_default(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            RunConfig.coerce(None, {"jobs": 2})
-
-    def test_warn_false_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            RunConfig.coerce(None, {"jobs": 2}, warn=False)
-
-    def test_config_and_kwargs_together_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            RunConfig.coerce(RunConfig(), {"jobs": 2})
-
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(TypeError, match="unknown run"):
-            RunConfig.coerce(None, {"job": 2})
+        calls = []
+        spec = ExperimentSpec("fig2", "t", calls.append)
+        config = RunConfig(preset=TINY, jobs=2)
+        spec.run(config)
+        assert calls == [config]
 
     def test_non_config_positional_rejected(self):
+        spec = ExperimentSpec("fig2", "t", lambda config: None)
         with pytest.raises(TypeError, match="RunConfig"):
-            RunConfig.coerce("quick", {})
+            spec.run("quick")
 
     def test_config_is_frozen(self):
         with pytest.raises(Exception):
@@ -80,12 +60,14 @@ class TestResolution:
         assert executor.on_failure == ON_FAILURE_RECORD
         assert RunConfig(jobs=1).executor().on_failure == ON_FAILURE_RAISE
 
+    def test_executor_orders_the_instruments(self):
+        metrics, trace = MetricsCollector(), TraceCollector()
+        profile, chaos = ProfileCollector(), ChaosCollector(ChaosConfig("link-flap"))
+        executor = RunConfig(jobs=1, instruments=(chaos, trace, metrics, profile)).executor()
+        # Activation order is fixed: profile, metrics, trace, chaos.
+        assert executor.instruments == (profile, metrics, trace, chaos)
 
-class TestLegacyEquivalence:
-    def test_legacy_and_config_runs_serialize_to_identical_bytes(self):
-        """The deprecation shim must not change results in any way."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = fig2_bandwidth.run(preset=TINY, jobs=1)
-        config = fig2_bandwidth.run(RunConfig(preset=TINY, jobs=1))
-        assert to_json(legacy) == to_json(config)
+    def test_two_instruments_of_one_kind_rejected(self):
+        config = RunConfig(jobs=1, instruments=(MetricsCollector(), MetricsCollector(0.5)))
+        with pytest.raises(ValueError, match="one per kind"):
+            config.executor()

@@ -48,7 +48,7 @@ def _specs():
 
 def _run_collect(jobs: int) -> TraceCollector:
     collector = TraceCollector(TraceConfig(spans=True, sample_every=5, flight=True))
-    SweepExecutor(jobs=jobs, trace=collector).run(_specs())
+    SweepExecutor(jobs=jobs, instruments=(collector,)).run(_specs())
     return collector
 
 

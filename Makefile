@@ -27,22 +27,24 @@ test-deprecations:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Serial-vs-parallel wall-clock + metrics overhead for the quick presets
-# -> BENCH_parallel.json.
+# Every parallel_bench.py leg on the quick presets: serial-vs-parallel
+# wall-clock, matcher equivalence and the four instrument-overhead legs,
+# each merged into BENCH_parallel.json (budgets reported, not enforced).
 bench-quick:
 	$(PYTHON) benchmarks/parallel_bench.py
 
-# Compiled-vs-linear matcher: byte-identical quick-preset tables plus the
-# deep-rule speedup -> BENCH_equivalence.json (CI runs this).
+# Compiled classifier vs the linear reference walk: byte-identical
+# quick-preset tables -> BENCH_equivalence.json (CI runs this).  The
+# per-lookup speedup at depth 32/64 is in `make bench` (bench_micro.py).
 bench-equivalence:
-	$(PYTHON) benchmarks/parallel_bench.py fig2 fig3a fig3b table1 --equivalence-only -o BENCH_equivalence.json
+	$(PYTHON) benchmarks/parallel_bench.py fig2 fig3a fig3b table1 --legs equivalence -o BENCH_equivalence.json
 
-# Tracing overhead on the fig2 quick preset: disabled vs sampled vs full,
-# identical tables required; merged into BENCH_parallel.json.  Fails when
-# the *disabled* tracer costs >3% over the recorded pre-tracing baseline
-# (CI runs this).
+# Tracing overhead on the fig2 quick preset: no tracer vs sampled vs full,
+# interleaved, identical tables required; merged into BENCH_parallel.json.
+# Fails when the *absent* tracer costs >3% over the recorded pre-tracing
+# baseline (CI runs this).
 bench-trace:
-	$(PYTHON) benchmarks/parallel_bench.py fig2 --trace-overhead-only --fail-overhead-above 3
+	$(PYTHON) benchmarks/parallel_bench.py fig2 --legs trace --gate
 
 # Wall-clock profiler overhead on the fig2 quick preset: profiler absent
 # vs fully on (stack collection included), identical tables required;
@@ -50,14 +52,14 @@ bench-trace:
 # costs >3% over the recorded pre-profiler baseline or the fully-on
 # profiler costs >35% over the absent run (CI runs this).
 bench-profile:
-	$(PYTHON) benchmarks/parallel_bench.py fig2 --profile-overhead-only --fail-profile-off-above 3 --fail-profile-on-above 35
+	$(PYTHON) benchmarks/parallel_bench.py fig2 --legs profile --gate
 
 # Runtime invariant-monitor overhead on the fig2 quick preset: monitors
 # absent vs warn mode, identical tables required; merged into
 # BENCH_parallel.json.  Fails when warn mode costs >5% over the
 # monitors-absent run (CI runs this).
 bench-invariants:
-	$(PYTHON) benchmarks/parallel_bench.py fig2 --invariant-overhead-only --fail-invariant-overhead-above 5
+	$(PYTHON) benchmarks/parallel_bench.py fig2 --legs invariants --gate
 
 # Chaos smoke: the trimmed scenario grid under fail-fast invariants —
 # every fault injects and clears on schedule and no invariant is

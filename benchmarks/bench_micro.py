@@ -8,12 +8,17 @@ performance regressions that would make the experiment sweeps impractical.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.crypto.feistel import FeistelCipher
 from repro.firewall.builders import padded_ruleset, service_rule
 from repro.firewall.rules import Action, Direction
 from repro.net.addresses import Ipv4Address
 from repro.net.packet import IpProtocol, Ipv4Packet, TcpSegment
 from repro.sim.engine import Simulator
+
+#: Rule depths for the uncached-vs-compiled pair (the paper's deep end).
+DEPTHS = (32, 64)
 
 
 def test_event_kernel_throughput(benchmark):
@@ -35,52 +40,50 @@ def test_event_kernel_throughput(benchmark):
     assert benchmark(run_events) == 10_000
 
 
-def test_ruleset_evaluation_uncached(benchmark):
-    """Linear 64-entry rule walk (the embedded card's per-packet work)."""
+def _deep_ruleset_and_packet(depth):
+    """A padded rule-set whose allow rule sits at ``depth``, and a packet it matches."""
     ruleset = padded_ruleset(
-        64, action_rule=service_rule(Action.ALLOW, IpProtocol.TCP, 5001)
+        depth, action_rule=service_rule(Action.ALLOW, IpProtocol.TCP, 5001)
     )
     packet = Ipv4Packet(
         src=Ipv4Address("10.0.0.2"),
         dst=Ipv4Address("10.0.0.3"),
         payload=TcpSegment(src_port=40000, dst_port=5001),
     )
+    return ruleset, packet
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_ruleset_evaluation_uncached(benchmark, depth):
+    """Linear rule walk (the embedded card's per-packet work)."""
+    ruleset, packet = _deep_ruleset_and_packet(depth)
 
     def evaluate():
         return ruleset.evaluate_linear(packet, Direction.INBOUND)
 
     result = benchmark(evaluate)
-    assert result.rules_traversed == 64
+    assert result.rules_traversed == depth
 
 
-def test_ruleset_evaluation_compiled(benchmark):
-    """Compiled 64-entry lookup: same verdict and charged depth, no loop."""
-    ruleset = padded_ruleset(
-        64, action_rule=service_rule(Action.ALLOW, IpProtocol.TCP, 5001)
-    )
-    packet = Ipv4Packet(
-        src=Ipv4Address("10.0.0.2"),
-        dst=Ipv4Address("10.0.0.3"),
-        payload=TcpSegment(src_port=40000, dst_port=5001),
-    )
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_ruleset_evaluation_compiled(benchmark, depth):
+    """Compiled lookup: same verdict and charged depth, no loop.
+
+    Against ``test_ruleset_evaluation_uncached`` at the same depth this is
+    the compiled classifier's per-lookup speedup.
+    """
+    ruleset, packet = _deep_ruleset_and_packet(depth)
     classifier = ruleset.compiled_classifier  # compile outside the timing
     flow = packet.flow()
 
     result = benchmark(classifier.lookup, flow, Direction.INBOUND)
-    assert result.rules_traversed == 64
+    assert result.rules_traversed == depth
     assert result == ruleset.evaluate_linear(packet, Direction.INBOUND)
 
 
 def test_ruleset_evaluation_cached(benchmark):
     """The memoised fast path used by the simulation."""
-    ruleset = padded_ruleset(
-        64, action_rule=service_rule(Action.ALLOW, IpProtocol.TCP, 5001)
-    )
-    packet = Ipv4Packet(
-        src=Ipv4Address("10.0.0.2"),
-        dst=Ipv4Address("10.0.0.3"),
-        payload=TcpSegment(src_port=40000, dst_port=5001),
-    )
+    ruleset, packet = _deep_ruleset_and_packet(64)
     ruleset.evaluate(packet, Direction.INBOUND)  # warm the cache
 
     result = benchmark(ruleset.evaluate, packet, Direction.INBOUND)

@@ -50,7 +50,6 @@ import argparse
 import dataclasses
 import heapq
 import itertools
-import json
 import os
 import sys
 import time
@@ -67,6 +66,7 @@ from repro.obs.tracing.tracer import PacketTracer
 from repro.sim import units
 from repro.sim.engine import Simulator
 from repro.sim.timer import TimerWheel
+from summary import merge_output
 
 #: Default fleet sizes (total stations, including attackers and the
 #: policy server); 256 is the acceptance scenario (32 attackers).
@@ -454,18 +454,6 @@ def run_dispatch(hosts: int) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
-def merge_output(fleet_section: Dict[str, Any], path: str) -> None:
-    """Merge the ``fleet`` section into ``BENCH_parallel.json``."""
-    data: Dict[str, Any] = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            data = json.load(handle)
-    data["fleet"] = fleet_section
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -542,13 +530,15 @@ def main(argv=None) -> int:
     gate["pass"] = (not gated) or min(gated) >= args.fail_below
 
     merge_output(
-        {
-            "smoke": args.smoke,
-            "scenario_duration_s": args.duration,
-            "sizes": per_size,
-            "gate": gate,
-        },
         args.output,
+        {
+            "fleet": {
+                "smoke": args.smoke,
+                "scenario_duration_s": args.duration,
+                "sizes": per_size,
+                "gate": gate,
+            }
+        },
     )
     print(f"(wrote fleet section to {args.output})", file=sys.stderr)
     if not gate["pass"]:

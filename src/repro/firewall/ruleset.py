@@ -6,17 +6,13 @@ is exactly the quantity the paper's cost model depends on ("when we refer
 to rule-set length (or depth) we are technically referring to the number
 of rules up to and including the action rule").
 
-Evaluation has two equivalent engines:
-
-* the **linear reference matcher** (:meth:`RuleSet.evaluate_linear`),
-  a straight first-match walk mirroring what the real cards do, and
-* the **compiled fast path** (:mod:`repro.firewall.compiled`), a
-  field-indexed structure returning the same verdict and the same
-  *charged* ``rules_traversed`` without the per-packet rule loop.
-
-The fast path is on by default and can be disabled globally
-(``--no-compiled-matcher`` / ``REPRO_NO_COMPILED_MATCHER``); simulation
-outcomes are bit-identical either way, only host wall-clock differs.
+Evaluation runs the flow cache, then the **compiled classifier**
+(:mod:`repro.firewall.compiled`): a field-indexed structure returning the
+verdict and the *charged* ``rules_traversed`` without a per-packet rule
+loop.  The **linear reference matcher** (:meth:`RuleSet.evaluate_linear`),
+a straight first-match walk mirroring what the real cards do, is not on
+that path; it is the ground truth the tests compare the classifier
+against, result for result.
 
 Mutation goes through one place: :meth:`RuleSet.mutate` opens a
 :class:`RuleSetMutation` batch whose commit bumps the rule-set version
@@ -30,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional
 
-from repro.firewall.compiled import ClassifierStats, CompiledClassifier, compiled_enabled
+from repro.firewall.compiled import ClassifierStats, CompiledClassifier
 from repro.firewall.rules import Action, Direction, Rule, VpgRule
 from repro.net.packet import Ipv4Packet
 from repro.obs.profiling import core as _profiling
@@ -165,7 +161,7 @@ class RuleSet:
         self._version = 0
         self.compiled_stats = ClassifierStats()
         #: Which engine answered the most recent evaluation:
-        #: "cache", "compiled", or "linear".  One attribute store per
+        #: "cache" or "compiled".  One attribute store per
         #: lookup; the tracing layer reads it to annotate classify spans.
         self.last_engine: Optional[str] = None
         #: Flow-cache LRU evictions since construction.
@@ -286,14 +282,9 @@ class RuleSet:
             cache[cache_key] = cached  # re-insert at the MRU end
             self.last_engine = "cache"
             return cached
-        if compiled_enabled():
-            result = self.compiled_classifier.lookup(flow, direction)
-            self.compiled_stats.hits += 1
-            self.last_engine = "compiled"
-        else:
-            result = self._evaluate_linear(packet, direction)
-            self.compiled_stats.fallbacks += 1
-            self.last_engine = "linear"
+        result = self.compiled_classifier.lookup(flow, direction)
+        self.compiled_stats.hits += 1
+        self.last_engine = "compiled"
         self._cache_store(cache_key, result)
         return result
 
@@ -301,25 +292,9 @@ class RuleSet:
         """The linear reference matcher (uncached, compiled path bypassed).
 
         This is the walk the real cards perform and the ground truth the
-        compiled classifier is differentially tested against.
+        compiled classifier is differentially tested against; simulations
+        never call it.
         """
-        return self._evaluate_linear(packet, direction)
-
-    def _cache_store(self, cache_key, result: MatchResult) -> None:
-        """Insert into the flow cache, evicting the LRU entry when full."""
-        limit = self.FLOW_CACHE_LIMIT
-        if limit <= 0:
-            return
-        cache = self._flow_cache
-        if len(cache) >= limit:
-            del cache[next(iter(cache))]
-            self.cache_evictions += 1
-            hook = self.trace_hook
-            if hook is not None:
-                hook()
-        cache[cache_key] = result
-
-    def _evaluate_linear(self, packet: Ipv4Packet, direction: Direction) -> MatchResult:
         traversed = 0
         for rule in self._rules:
             traversed += rule.rule_cost
@@ -335,6 +310,20 @@ class RuleSet:
             rules_traversed=max(traversed, 1),
             rule=None,
         )
+
+    def _cache_store(self, cache_key, result: MatchResult) -> None:
+        """Insert into the flow cache, evicting the LRU entry when full."""
+        limit = self.FLOW_CACHE_LIMIT
+        if limit <= 0:
+            return
+        cache = self._flow_cache
+        if len(cache) >= limit:
+            del cache[next(iter(cache))]
+            self.cache_evictions += 1
+            hook = self.trace_hook
+            if hook is not None:
+                hook()
+        cache[cache_key] = result
 
     def evaluate_encrypted(self, spi: int) -> MatchResult:
         """First-match evaluation of an encrypted VPG packet by SPI.
@@ -361,22 +350,14 @@ class RuleSet:
             cache[cache_key] = cached  # re-insert at the MRU end
             self.last_engine = "cache"
             return cached
-        if compiled_enabled():
-            result = self.compiled_classifier.lookup_encrypted(spi)
-            self.compiled_stats.hits += 1
-            self.last_engine = "compiled"
-        else:
-            result = self._evaluate_encrypted_linear(spi)
-            self.compiled_stats.fallbacks += 1
-            self.last_engine = "linear"
+        result = self.compiled_classifier.lookup_encrypted(spi)
+        self.compiled_stats.hits += 1
+        self.last_engine = "compiled"
         self._cache_store(cache_key, result)
         return result
 
     def evaluate_encrypted_linear(self, spi: int) -> MatchResult:
         """Linear reference walk for encrypted VPG packets (uncached)."""
-        return self._evaluate_encrypted_linear(spi)
-
-    def _evaluate_encrypted_linear(self, spi: int) -> MatchResult:
         traversed = 0
         for rule in self._rules:
             traversed += rule.rule_cost

@@ -642,13 +642,12 @@ class TcpConnection:
             data = self.send_buffer.slice(offset, offset + burst)
             self.segments_retransmitted += 1
             self._retx_high = start + burst
-            self.sim.tracer.emit(
-                self.sim.now,
-                f"tcp:{self.local_port}",
-                "retransmit",
-                seq=start,
-                bytes=burst,
-            )
+            tracer = self.sim.tracer
+            if tracer.hot:
+                tracer.event(
+                    self.sim.now, f"tcp:{self.local_port}", "retransmit",
+                    None, seq=start, bytes=burst,
+                )
             self._emit(TcpFlags.ACK, seq=start, payload_size=burst, data=data)
         elif self.fin_sent and self.fin_seq is not None and self.snd_una == self.fin_seq:
             self.segments_retransmitted += 1

@@ -131,9 +131,9 @@ class EmbeddedFirewallNic(BaseNic):
         metrics.counter_fn("nic_packets", lambda: self.tx_denied, nic=name, direction="tx", verdict="denied")
         metrics.counter_fn("nic_rules_evaluated", lambda: self.rules_evaluated, nic=name)
         # Compiled-classifier health for the installed policy: how often
-        # the rule-set was (re)compiled, how many uncached verdicts the
-        # fast path answered, and how many fell back to the linear walk
-        # (fast path disabled).  Callback-backed, so free per packet.
+        # the rule-set was (re)compiled, how many uncached verdicts it
+        # answered, and how many ran the linear walk (always 0; kept for
+        # the counter schema).  Callback-backed, so free per packet.
         metrics.counter_fn(
             "fw_compiled_compiles",
             lambda: self.policy.compiled_stats.compiles if self.policy is not None else 0,

@@ -12,9 +12,7 @@ It records two kinds of things, both stamped in *virtual* time:
   so the chain reconstructs the packet's end-to-end causal path.
 * **Events** (:class:`TraceRecord`) — instant happenings that are not a
   stage of a specific sampled packet's life: ring drops, firewall denies,
-  pauses, lockups, agent restarts.  This is the record type (and flat
-  ``emit()`` API) of the original ``repro.sim.trace`` facility, kept
-  verbatim so existing callers and tests continue to work.
+  pauses, lockups, agent restarts, TCP retransmits.
 
 Cost discipline (the same null-object contract as ``repro.obs.registry``):
 hot paths guard every trace block with a plain attribute check —
@@ -36,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: Span-duration histogram buckets (milliseconds): NIC stages are tens of
 #: microseconds, a wedged queue wait can reach whole seconds.
@@ -50,9 +48,8 @@ _UNSET = object()
 class TraceRecord:
     """A single instant trace event.
 
-    Field-compatible with the original flat tracer's records
-    (``time, source, event, fields``); events correlated with a sampled
-    packet additionally carry that packet's ``trace_id``.
+    Events correlated with a sampled packet additionally carry that
+    packet's ``trace_id``.
     """
 
     time: float
@@ -123,22 +120,16 @@ class PacketTracer:
 
     Parameters
     ----------
-    enabled:
-        When True, full tracing starts armed (legacy knob; equivalent to
-        setting :attr:`enabled` afterwards).
     max_records, max_spans:
         Ring bounds; the oldest entries are dropped beyond these.
     sample_every:
         Start a trace for every K-th packet offered to :meth:`begin`.
 
-    The legacy flat-tracer API (``emit``/``records``/``clear``/``len``/
-    iteration/``add_sink`` and the ``enabled`` flag) is preserved: those
-    operate on the instant-event ring exactly as before.
+    The tracer starts cold; :meth:`configure` arms it.
     """
 
     def __init__(
         self,
-        enabled: bool = False,
         max_records: int = 100_000,
         max_spans: int = 200_000,
         sample_every: int = 1,
@@ -161,29 +152,16 @@ class PacketTracer:
         self.traces_started = 0
         self._records: deque = deque(maxlen=max_records)
         self._spans: deque = deque(maxlen=max_spans)
-        self._sinks: List[Callable[[TraceRecord], None]] = []
         self._listeners: List[Callable[[Any], None]] = []
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self._sample_counter = 0
         self._hist_registry = None
         self._hist_cache: Dict[Any, Any] = {}
-        if enabled:
-            self.enabled = True
 
     # ------------------------------------------------------------------
     # Arming
     # ------------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """Legacy on/off flag: True while full tracing is armed."""
-        return self.active
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self.active = bool(value)
-        self._refresh()
 
     def _refresh(self) -> None:
         """Recompute :attr:`hot` after an arming change."""
@@ -322,20 +300,12 @@ class PacketTracer:
         )
         if self.active:
             self._records.append(record)
-            for sink in self._sinks:
-                sink(record)
         flight = self.flight
         if flight is not None:
             flight.record(record)
         for listener in self._listeners:
             listener(record)
         return record
-
-    def emit(self, time: float, source: str, event: str, **fields: Any) -> None:
-        """Legacy flat-emit API: record an event if any consumer is armed."""
-        if not self.hot:
-            return
-        self.event(time, source, event, None, **fields)
 
     # ------------------------------------------------------------------
     # Incidents
@@ -381,22 +351,6 @@ class PacketTracer:
         if track is not None:
             result = [span for span in result if span.track == track]
         return list(result)
-
-    def add_sink(self, sink: Callable[[TraceRecord], None]) -> None:
-        """Forward every future event record to ``sink`` (e.g. ``print``)."""
-        self._sinks.append(sink)
-
-    def clear(self) -> None:
-        """Drop all collected events, spans, and incidents."""
-        self._records.clear()
-        self._spans.clear()
-        self.incidents.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
 
 
 def _last_stage(dump: List[Any]) -> Optional[str]:

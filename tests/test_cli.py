@@ -130,31 +130,6 @@ class TestCli:
         assert cli.main(["stub", "--no-progress"]) == 0
         assert seen[0][1].jobs == 5
 
-    def test_no_compiled_matcher_flag_disables_fast_path(self, monkeypatch, capsys):
-        from repro.firewall import compiled
-
-        original = compiled.compiled_enabled()
-        monkeypatch.setattr(cli, "run_experiment_result", lambda *a, **k: "output")
-        monkeypatch.setattr(cli, "experiment_ids", lambda: ["stub"])
-        try:
-            assert cli.main(["stub", "--no-progress", "--no-compiled-matcher"]) == 0
-            assert not compiled.compiled_enabled()
-        finally:
-            compiled.set_compiled_enabled(original)
-
-    def test_compiled_matcher_stays_on_by_default(self, monkeypatch, capsys):
-        from repro.firewall import compiled
-
-        original = compiled.compiled_enabled()
-        monkeypatch.setattr(cli, "run_experiment_result", lambda *a, **k: "output")
-        monkeypatch.setattr(cli, "experiment_ids", lambda: ["stub"])
-        try:
-            compiled.set_compiled_enabled(True)
-            assert cli.main(["stub", "--no-progress"]) == 0
-            assert compiled.compiled_enabled()
-        finally:
-            compiled.set_compiled_enabled(original)
-
     def test_metrics_flag_writes_series_files(self, monkeypatch, capsys, tmp_path):
         import json
 

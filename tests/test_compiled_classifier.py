@@ -7,13 +7,18 @@ and the VPG flag — for plaintext packets in both directions, encrypted
 SPI lookups, and the default-action case.  Rule-sets and packets are
 drawn from overlapping small pools so matches are common, with wildcard
 protocols, symmetric rules, general port ranges and VPG pairs all in
-the mix.
+the mix.  ``TestInSituEquivalence`` repeats the check on the rule-sets
+and traffic the experiments themselves produce.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.firewall.compiled import compiled_enabled, set_compiled_enabled
+from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
+from repro.apps.iperf import IperfClient, IperfServer
+from repro.core.methodology import FloodToleranceValidator, MeasurementSettings
+from repro.core.testbed import DeviceKind, Testbed
+
 from repro.firewall.rules import (
     Action,
     AddressPattern,
@@ -156,16 +161,8 @@ class TestDifferentialEquivalence:
         assert compiled.rule is None
 
 
-@pytest.fixture()
-def restore_compiled_flag():
-    original = compiled_enabled()
-    yield
-    set_compiled_enabled(original)
-
-
 class TestEvaluateRouting:
-    def test_evaluate_uses_compiled_path_and_counts_hits(self, restore_compiled_flag):
-        set_compiled_enabled(True)
+    def test_evaluate_uses_compiled_path_and_counts_hits(self):
         ruleset = RuleSet([Rule(action=Action.ALLOW, protocol=IpProtocol.TCP)])
         packet = Ipv4Packet(
             src=ADDRESS_POOL[0],
@@ -177,23 +174,9 @@ class TestEvaluateRouting:
         assert ruleset.compiled_stats.compiles == 1
         assert ruleset.compiled_stats.hits == 1
         assert ruleset.compiled_stats.fallbacks == 0
+        assert ruleset.last_engine == "compiled"
 
-    def test_disabled_flag_falls_back_to_linear(self, restore_compiled_flag):
-        set_compiled_enabled(False)
-        ruleset = RuleSet([Rule(action=Action.ALLOW, protocol=IpProtocol.TCP)])
-        packet = Ipv4Packet(
-            src=ADDRESS_POOL[0],
-            dst=ADDRESS_POOL[1],
-            payload=TcpSegment(src_port=40000, dst_port=80),
-        )
-        result = ruleset.evaluate(packet, Direction.INBOUND)
-        assert result.allowed
-        assert ruleset.compiled_stats.compiles == 0
-        assert ruleset.compiled_stats.hits == 0
-        assert ruleset.compiled_stats.fallbacks == 1
-
-    def test_mutation_forces_recompile(self, restore_compiled_flag):
-        set_compiled_enabled(True)
+    def test_mutation_forces_recompile(self):
         ruleset = RuleSet([Rule(action=Action.ALLOW)])
         packet = Ipv4Packet(
             src=ADDRESS_POOL[0],
@@ -205,3 +188,75 @@ class TestEvaluateRouting:
             edit.insert(0, Rule(action=Action.DENY, protocol=IpProtocol.TCP))
         assert not ruleset.evaluate(packet, Direction.INBOUND).allowed
         assert ruleset.compiled_stats.compiles == 2
+
+
+class TestInSituEquivalence:
+    """Every uncached lookup of a real experiment point matches the linear walk.
+
+    ``RuleSet._evaluate``/``_evaluate_encrypted`` are wrapped so each
+    result the compiled classifier produces during the run is compared
+    with ``evaluate_linear``/``evaluate_encrypted_linear`` on the same
+    rule-set — the padded, VPG and flood rule-sets the methodology
+    installs, under the traffic it generates.
+    """
+
+    SETTINGS = MeasurementSettings(duration=0.1, flood_lead=0.05)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        counts = {"plaintext": 0, "encrypted": 0}
+        evaluate = RuleSet._evaluate
+        evaluate_encrypted = RuleSet._evaluate_encrypted
+
+        def checked_evaluate(ruleset, packet, direction):
+            result = evaluate(ruleset, packet, direction)
+            if ruleset.last_engine == "compiled":
+                assert_same_result(result, ruleset.evaluate_linear(packet, direction))
+                counts["plaintext"] += 1
+            return result
+
+        def checked_evaluate_encrypted(ruleset, spi):
+            result = evaluate_encrypted(ruleset, spi)
+            if ruleset.last_engine == "compiled":
+                assert_same_result(result, ruleset.evaluate_encrypted_linear(spi))
+                counts["encrypted"] += 1
+            return result
+
+        monkeypatch.setattr(RuleSet, "_evaluate", checked_evaluate)
+        monkeypatch.setattr(RuleSet, "_evaluate_encrypted", checked_evaluate_encrypted)
+        return counts
+
+    @pytest.mark.parametrize("device", [DeviceKind.EFW, DeviceKind.ADF])
+    def test_iperf_through_depth_64(self, checked, device):
+        measurement = FloodToleranceValidator(device, self.SETTINGS).available_bandwidth(depth=64)
+        assert measurement.mbps > 0
+        assert checked["plaintext"] > 0
+
+    def test_iperf_through_four_vpgs(self, checked):
+        validator = FloodToleranceValidator(DeviceKind.ADF, self.SETTINGS)
+        assert validator.available_bandwidth(vpg_count=4).mbps > 0
+        assert checked["plaintext"] > 0
+        assert checked["encrypted"] > 0
+
+    def test_random_source_flood(self, checked):
+        settings = self.SETTINGS
+        validator = FloodToleranceValidator(DeviceKind.ADF, settings)
+        bed = Testbed(DeviceKind.ADF, seed=settings.seed)
+        bed.install_target_policy(validator.flood_ruleset(64, flood_allowed=False))
+        IperfServer(bed.target, settings.iperf_port)
+        flood = FloodGenerator(
+            bed.attacker,
+            spec=FloodSpec(
+                kind=FloodKind.TCP_ACK, dst_port=settings.denied_flood_port, randomize_src=True
+            ),
+        )
+        flood.start(bed.target.ip, 5000.0)
+        bed.run(settings.flood_lead)
+        IperfClient(bed.client).start_tcp(
+            bed.target.ip, settings.iperf_port, duration=settings.duration
+        )
+        bed.run(settings.duration + 0.01)
+        # Random sources defeat the flow cache: nearly every flood packet
+        # is a fresh, uncached lookup.
+        assert bed.target.nic.rx_denied > 100
+        assert checked["plaintext"] > bed.target.nic.rx_denied // 2

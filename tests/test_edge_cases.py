@@ -163,10 +163,7 @@ class TestRulesetEdges:
         assert result.allowed
         assert result.rules_traversed == 1  # charged at least one entry
 
-    def test_flow_cache_bounded(self, linear_matcher):
-        # Runs on the linear matcher: it builds a fresh MatchResult per
-        # walk, so object identity distinguishes cached from recomputed
-        # (the compiled path returns shared per-rule results either way).
+    def test_flow_cache_bounded(self):
         from repro.firewall.builders import allow_all
         from repro.firewall.rules import Direction
         from repro.net.packet import TcpSegment
@@ -179,8 +176,9 @@ class TestRulesetEdges:
             payload=TcpSegment(src_port=1, dst_port=2),
         )
         first = ruleset.evaluate(packet, Direction.INBOUND)
+        assert ruleset.last_engine == "compiled"
         second = ruleset.evaluate(packet, Direction.INBOUND)
-        assert first is not second  # nothing cached
+        assert ruleset.last_engine == "compiled"  # nothing cached
         assert first == second  # but equal verdicts
 
 
@@ -192,13 +190,9 @@ class TestFlowCacheLru:
     forever.  The cache is now a bounded LRU: one-shot flood flows evict
     each other while hot flows stay resident.
 
-    These run on the linear matcher so object identity distinguishes a
-    cache hit from a recomputed walk (see the ``linear_matcher`` fixture).
+    ``RuleSet.last_engine`` tells a cache hit (``"cache"``) from a
+    recomputed lookup (``"compiled"``).
     """
-
-    @pytest.fixture(autouse=True)
-    def _linear(self, linear_matcher):
-        yield
 
     @staticmethod
     def _packet(src_port):
@@ -210,54 +204,53 @@ class TestFlowCacheLru:
             payload=TcpSegment(src_port=src_port, dst_port=80),
         )
 
+    @classmethod
+    def _engine(cls, ruleset, port):
+        from repro.firewall.rules import Direction
+
+        ruleset.evaluate(cls._packet(port), Direction.INBOUND)
+        return ruleset.last_engine
+
     def test_fresh_flows_still_cached_after_saturation(self):
         from repro.firewall.builders import allow_all
-        from repro.firewall.rules import Direction
 
         ruleset = allow_all()
         ruleset.FLOW_CACHE_LIMIT = 16
         # Saturate: 3x the cache bound of one-shot flows.
         for port in range(1000, 1048):
-            ruleset.evaluate(self._packet(port), Direction.INBOUND)
+            assert self._engine(ruleset, port) == "compiled"
         assert len(ruleset._flow_cache) == 16
-        # A brand-new flow must still be admitted (identity proves a hit).
-        fresh = self._packet(5000)
-        first = ruleset.evaluate(fresh, Direction.INBOUND)
-        second = ruleset.evaluate(fresh, Direction.INBOUND)
-        assert first is second
+        # A brand-new flow must still be admitted.
+        assert self._engine(ruleset, 5000) == "compiled"
+        assert self._engine(ruleset, 5000) == "cache"
 
     def test_hot_flow_survives_a_flood(self):
         from repro.firewall.builders import allow_all
-        from repro.firewall.rules import Direction
 
         ruleset = allow_all()
         ruleset.FLOW_CACHE_LIMIT = 16
-        hot = self._packet(22)
-        hot_result = ruleset.evaluate(hot, Direction.INBOUND)
+        assert self._engine(ruleset, 22) == "compiled"
         # Interleave flood flows with re-use of the hot flow: the hit
         # refreshes its recency, so the flood evicts only its own flows.
         for port in range(2000, 2100):
-            ruleset.evaluate(self._packet(port), Direction.INBOUND)
-            assert ruleset.evaluate(hot, Direction.INBOUND) is hot_result
+            assert self._engine(ruleset, port) == "compiled"
+            assert self._engine(ruleset, 22) == "cache"
 
     def test_cold_entries_are_the_ones_evicted(self):
         from repro.firewall.builders import allow_all
-        from repro.firewall.rules import Direction
 
         ruleset = allow_all()
         ruleset.FLOW_CACHE_LIMIT = 4
-        results = {
-            port: ruleset.evaluate(self._packet(port), Direction.INBOUND)
-            for port in (1, 2, 3, 4)
-        }
+        for port in (1, 2, 3, 4):
+            assert self._engine(ruleset, port) == "compiled"
         # Touch 1 and 2, then add two new flows: 3 and 4 get evicted.
-        assert ruleset.evaluate(self._packet(1), Direction.INBOUND) is results[1]
-        assert ruleset.evaluate(self._packet(2), Direction.INBOUND) is results[2]
-        ruleset.evaluate(self._packet(5), Direction.INBOUND)
-        ruleset.evaluate(self._packet(6), Direction.INBOUND)
-        assert ruleset.evaluate(self._packet(1), Direction.INBOUND) is results[1]
-        assert ruleset.evaluate(self._packet(2), Direction.INBOUND) is results[2]
-        assert ruleset.evaluate(self._packet(3), Direction.INBOUND) is not results[3]
+        assert self._engine(ruleset, 1) == "cache"
+        assert self._engine(ruleset, 2) == "cache"
+        assert self._engine(ruleset, 5) == "compiled"
+        assert self._engine(ruleset, 6) == "compiled"
+        assert self._engine(ruleset, 1) == "cache"
+        assert self._engine(ruleset, 2) == "cache"
+        assert self._engine(ruleset, 3) == "compiled"
 
     def test_encrypted_lookups_share_the_bound(self):
         from repro.firewall.builders import allow_all
@@ -266,7 +259,10 @@ class TestFlowCacheLru:
         ruleset.FLOW_CACHE_LIMIT = 8
         for spi in range(100):
             ruleset.evaluate_encrypted(spi)
+            assert ruleset.last_engine == "compiled"
         assert len(ruleset._flow_cache) <= 8
+        ruleset.evaluate_encrypted(99)
+        assert ruleset.last_engine == "cache"
 
 
 class TestPcapEdges:

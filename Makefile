@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all test-deprecations perfbench-check bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -23,6 +23,18 @@ test-all:
 # inside its block).
 test-deprecations:
 	$(PYTHON) -m pytest tests/ -x -q -W "error::DeprecationWarning:repro"
+
+# One short traced perfbench run per workload: every iteration's
+# outcome (tables, sim.events, net.frames, nic.rules_evaluated) and
+# traced work counts (crypto.blocks, firewall.rules_charged) must equal
+# perfbench/reference.json; run.py exits 1 on any mismatch (CI runs this).
+PERFBENCH_WORKLOADS := bulk-tcp flood-64b http-vpg sweep-quick
+
+perfbench-check:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "== perfbench $$w =="; \
+		$(PYTHON) perfbench/run.py --workload $$w --seconds 2 --trace 1 || exit 1; \
+	done
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -11,10 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.feistel import FeistelCipher
+from repro.crypto.vpg import VpgContext
 from repro.firewall.builders import padded_ruleset, service_rule
 from repro.firewall.rules import Action, Direction
 from repro.net.addresses import Ipv4Address
-from repro.net.packet import IpProtocol, Ipv4Packet, TcpSegment
+from repro.net.packet import IpProtocol, Ipv4Packet, TcpFlags, TcpSegment
 from repro.sim.engine import Simulator
 
 #: Rule depths for the uncached-vs-compiled pair (the paper's deep end).
@@ -90,13 +91,47 @@ def test_ruleset_evaluation_cached(benchmark):
     assert result.rules_traversed == 64
 
 
-def test_feistel_cbc_encrypt(benchmark):
-    """CBC encryption of a 64-byte header blob (the VPG seal path)."""
-    cipher = FeistelCipher(b"0123456789abcdef01234567")
-    blob = bytes(range(64))
+VPG_KEY = b"0123456789abcdef01234567"
 
-    ciphertext = benchmark(cipher.encrypt, blob, 1)
-    assert cipher.decrypt(ciphertext, 1) == blob
+
+def _pure_ack():
+    """A pure TCP ACK: its 40 header bytes are exactly what a VPG seal encrypts."""
+    return Ipv4Packet(
+        src=Ipv4Address("10.0.0.2"),
+        dst=Ipv4Address("10.0.0.3"),
+        payload=TcpSegment(src_port=40000, dst_port=80, seq=1001, ack=2002, flags=TcpFlags.ACK),
+    )
+
+
+def test_feistel_cbc_encrypt(benchmark):
+    """CBC encryption of a pure ACK's 40 header bytes (the VPG seal path)."""
+    cipher = FeistelCipher(VPG_KEY)
+    plaintext = _pure_ack().to_bytes()
+    assert len(plaintext) == 40
+
+    ciphertext = benchmark(cipher.encrypt, plaintext, 1)
+    assert cipher.decrypt(ciphertext, 1) == plaintext
+
+
+def test_feistel_cbc_decrypt(benchmark):
+    """CBC decryption of a sealed pure ACK (the VPG open path)."""
+    cipher = FeistelCipher(VPG_KEY)
+    plaintext = _pure_ack().to_bytes()
+    ciphertext = cipher.encrypt(plaintext, 1)
+
+    assert benchmark(cipher.decrypt, ciphertext, 1) == plaintext
+
+
+def test_vpg_seal_open_roundtrip(benchmark):
+    """One pure ACK sealed by one VPG end and opened by the other: cipher, MAC and re-parse."""
+    sealer, opener = VpgContext(500, VPG_KEY), VpgContext(500, VPG_KEY)
+    inner = _pure_ack()
+    src, dst = inner.src, inner.dst
+
+    def roundtrip():
+        return opener.open(sealer.seal(inner, src, dst))
+
+    assert benchmark(roundtrip).to_bytes() == inner.to_bytes()
 
 
 def test_tcp_goodput_simulation_speed(benchmark):

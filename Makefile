@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all test-deprecations perfbench-check bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all test-deprecations perfbench-check perfbench-ab bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -35,6 +35,17 @@ perfbench-check:
 		echo "== perfbench $$w =="; \
 		$(PYTHON) perfbench/run.py --workload $$w --seconds 2 --trace 1 || exit 1; \
 	done
+
+# Interleaved A/B of one workload's norm_wall_s: BASE checked out in a
+# temporary git worktree against this working tree, PAIRS alternating
+# pairs of 27 s untraced runs; prints medians, quartiles, per-pair ratios
+# and the win count (reported, not enforced).
+BASE ?= HEAD
+WORKLOAD ?= bulk-tcp
+PAIRS ?= 10
+
+perfbench-ab:
+	$(PYTHON) benchmarks/perfbench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

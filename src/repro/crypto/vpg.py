@@ -170,21 +170,23 @@ class VpgContext:
 def _split_size_only_tail(inner: Ipv4Packet):
     """Separate the size-only payload tail from the bytes to encrypt.
 
-    Returns a copy of ``inner`` whose L4 payload length covers only the
-    real data bytes, plus the number of size-only tail bytes removed.
+    Returns ``inner`` with its L4 payload length cut to the real data
+    bytes, plus the number of size-only tail bytes removed.  A packet with
+    no size-only tail is returned as it is, uncopied.
     """
     payload = inner.payload
-    declared = getattr(payload, "payload_size", None)
-    if declared is None:
-        # RawPayload: encrypt its real bytes, carry the remainder as tail.
-        real = len(payload.data)
-        tail = payload.size - real
-        trimmed_payload = replace(payload, size=real)
-        return replace(inner, payload=trimmed_payload), tail
     real = len(payload.data)
-    tail = declared - real
-    trimmed_payload = replace(payload, payload_size=real)
-    return replace(inner, payload=trimmed_payload), tail
+    declared = getattr(payload, "payload_size", None)
+    # RawPayload has no payload_size: its real bytes are encrypted and
+    # the remainder of its size is the tail.
+    tail = (payload.size if declared is None else declared) - real
+    if tail == 0:
+        return inner, 0
+    if declared is None:
+        trimmed = replace(payload, size=real)
+    else:
+        trimmed = replace(payload, payload_size=real)
+    return replace(inner, payload=trimmed), tail
 
 
 def _restore_size_only_tail(inner: Ipv4Packet, tail: int) -> Ipv4Packet:

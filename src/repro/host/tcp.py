@@ -34,6 +34,13 @@ from repro.net.addresses import Ipv4Address
 from repro.net.packet import Ipv4Packet, TcpFlags, TcpSegment
 from repro.sim.timer import Timer
 
+#: Flag combinations built once: ``TcpFlags`` arithmetic per segment
+#: would go through the enum machinery on every emit.
+_SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
+_FIN_ACK = TcpFlags.FIN | TcpFlags.ACK
+_RST_ACK = TcpFlags.RST | TcpFlags.ACK
+_ACK_BIT = int(TcpFlags.ACK)
+
 #: Maximum segment size: fills a 1518-byte Ethernet frame
 #: (1460 + 20 TCP + 20 IP + 18 Ethernet).
 MSS = 1460
@@ -323,7 +330,7 @@ class TcpConnection:
     def abort(self) -> None:
         """Reset the connection immediately."""
         if self.state not in (TcpState.CLOSED, TcpState.TIME_WAIT):
-            self._emit(TcpFlags.RST | TcpFlags.ACK, seq=self.snd_nxt)
+            self._emit(_RST_ACK, seq=self.snd_nxt)
         self._destroy(notify_closed=True)
 
     @property
@@ -357,7 +364,7 @@ class TcpConnection:
         self.state = TcpState.SYN_RCVD
         self.receive_buffer = ReceiveBuffer(segment.seq + 1)
         self.snd_nxt = self.iss + 1
-        self._emit(TcpFlags.SYN | TcpFlags.ACK, seq=self.iss)
+        self._emit(_SYN_ACK, seq=self.iss)
         self.retries = 0
         self.retransmit_timer.restart(self.rto)
 
@@ -375,7 +382,7 @@ class TcpConnection:
             return
         if self.state == TcpState.SYN_RCVD and segment.syn:
             # Duplicate SYN: re-send SYN-ACK.
-            self._emit(TcpFlags.SYN | TcpFlags.ACK, seq=self.iss)
+            self._emit(_SYN_ACK, seq=self.iss)
             return
         if segment.ack_flag:
             self._process_ack(segment)
@@ -555,7 +562,7 @@ class TcpConnection:
     def _send_fin(self) -> None:
         self.fin_sent = True
         self.fin_seq = self.snd_nxt
-        self._emit(TcpFlags.FIN | TcpFlags.ACK, seq=self.snd_nxt)
+        self._emit(_FIN_ACK, seq=self.snd_nxt)
         self.snd_nxt += 1
         if self.state == TcpState.ESTABLISHED:
             self.state = TcpState.FIN_WAIT_1
@@ -600,7 +607,7 @@ class TcpConnection:
         if self.state == TcpState.SYN_SENT:
             self._emit(TcpFlags.SYN, seq=self.iss)
         elif self.state == TcpState.SYN_RCVD:
-            self._emit(TcpFlags.SYN | TcpFlags.ACK, seq=self.iss)
+            self._emit(_SYN_ACK, seq=self.iss)
         else:
             self.ssthresh = max(self.unacked_bytes // 2, 2 * self.mss)
             self.cwnd = self.mss
@@ -651,7 +658,7 @@ class TcpConnection:
             self._emit(TcpFlags.ACK, seq=start, payload_size=burst, data=data)
         elif self.fin_sent and self.fin_seq is not None and self.snd_una == self.fin_seq:
             self.segments_retransmitted += 1
-            self._emit(TcpFlags.FIN | TcpFlags.ACK, seq=self.fin_seq)
+            self._emit(_FIN_ACK, seq=self.fin_seq)
 
     # ------------------------------------------------------------------
     # SACK scoreboard
@@ -749,7 +756,7 @@ class TcpConnection:
             src_port=self.local_port,
             dst_port=self.remote_port,
             seq=seq,
-            ack=self._ack_value() if (flags & TcpFlags.ACK) else 0,
+            ack=self._ack_value() if flags._value_ & _ACK_BIT else 0,
             flags=flags,
             window=RECEIVE_WINDOW,
             payload_size=payload_size,
@@ -932,7 +939,7 @@ class TcpManager:
                     dst_port=segment.src_port,
                     seq=cookie,
                     ack=segment.seq + 1,
-                    flags=TcpFlags.SYN | TcpFlags.ACK,
+                    flags=_SYN_ACK,
                     window=RECEIVE_WINDOW,
                 )
                 self.transmit_segment(packet.src, syn_ack)
@@ -1016,9 +1023,8 @@ class TcpManager:
         if segment.ack_flag:
             seq, ack, flags = segment.ack, 0, TcpFlags.RST
         else:
-            seq, ack, flags = 0, segment.seq + segment.payload_size + (1 if segment.syn else 0), (
-                TcpFlags.RST | TcpFlags.ACK
-            )
+            seq, flags = 0, _RST_ACK
+            ack = segment.seq + segment.payload_size + (1 if segment.syn else 0)
         reset = TcpSegment(
             src_port=segment.dst_port,
             dst_port=segment.src_port,

@@ -91,15 +91,23 @@ BROADCAST_MAC = MacAddress((1 << 48) - 1)
 
 @total_ordering
 class Ipv4Address:
-    """A 32-bit IPv4 address."""
+    """A 32-bit IPv4 address.
 
-    __slots__ = ("_value",)
+    The hash is computed once in ``__init__`` (addresses key the TCP demux,
+    ARP and flow-cache tables on every packet).  It equals
+    ``hash(("ipv4", value))``, which depends on the process's string-hash
+    seed, so pickling goes by value (:meth:`__reduce__`) and an unpickled
+    address re-hashes in the loading process.
+    """
+
+    __slots__ = ("_value", "_hash")
 
     MAX = (1 << 32) - 1
 
     def __init__(self, value: Union[int, str, "Ipv4Address"]):
         if isinstance(value, Ipv4Address):
             self._value = value._value
+            self._hash = value._hash
             return
         if isinstance(value, str):
             parts = value.split(".")
@@ -111,12 +119,16 @@ class Ipv4Address:
                 raise ValueError(f"malformed IPv4 address: {value!r}") from exc
             if any(octet < 0 or octet > 255 for octet in octets):
                 raise ValueError(f"malformed IPv4 address: {value!r}")
-            self._value = int.from_bytes(bytes(octets), "big")
-            return
-        value = int(value)
-        if value < 0 or value > self.MAX:
-            raise ValueError(f"IPv4 address out of range: {value}")
+            value = int.from_bytes(bytes(octets), "big")
+        else:
+            value = int(value)
+            if value < 0 or value > self.MAX:
+                raise ValueError(f"IPv4 address out of range: {value}")
         self._value = value
+        self._hash = hash(("ipv4", value))
+
+    def __reduce__(self):
+        return (type(self), (self._value,))
 
     def __int__(self) -> int:
         return self._value
@@ -148,7 +160,7 @@ class Ipv4Address:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("ipv4", self._value))
+        return self._hash
 
     def __str__(self) -> str:
         raw = self.to_bytes()

@@ -8,10 +8,18 @@ Design notes
   modelled size-only (``payload_size`` with ``data=b""``): an iperf stream
   does not need 100 MB of real bytes, only their sizes and timing.  When
   serialized, size-only payload bytes are emitted as zeros.
-* Packets are ordinary mutable dataclasses.  The simulator passes object
+* Packets are ordinary dataclasses.  The simulator passes object
   references, so a packet must never be mutated after transmission; the
   stack and NIC models copy headers when they rewrite them (only the VPG
   encapsulation path rewrites anything).
+* Size-bearing fields (``payload_size``, ``payload``, a sealed payload's
+  ciphertext length) are fixed at construction: ``TcpSegment``,
+  ``Ipv4Packet`` and ``EthernetFrame`` compute ``size``/``wire_size`` once
+  in ``__post_init__`` and the properties return the stored value, and
+  ``TcpSegment`` stores its flags as a plain int mask for ``syn``/``ack_flag``/
+  ``fin``/``rst``.  A change to any of these fields goes through
+  ``dataclasses.replace``, which builds a new object and so recomputes
+  them; assigning the field in place would leave a stale size.
 * ``wire_size`` on :class:`EthernetFrame` includes the 14-byte header, the
   4-byte FCS, and minimum-frame padding -- it is the number that the link
   serialization delay and the NIC per-byte cost are computed from.
@@ -49,6 +57,14 @@ class TcpFlags(IntFlag):
     PSH = 0x08
     ACK = 0x10
     URG = 0x20
+
+
+# Plain-int masks for the per-segment flag tests (``TcpFlags`` arithmetic
+# goes through the enum machinery on every call).
+_FIN = int(TcpFlags.FIN)
+_SYN = int(TcpFlags.SYN)
+_RST = int(TcpFlags.RST)
+_ACK = int(TcpFlags.ACK)
 
 
 @dataclass
@@ -133,36 +149,38 @@ class TcpSegment:
         _check_port(self.dst_port)
         if self.payload_size < 0:
             raise ValueError(f"payload size must be >= 0, got {self.payload_size}")
+        self._size = self.HEADER_SIZE + self.payload_size
+        self._flag_bits = int(self.flags)
 
     @property
     def size(self) -> int:
         """Total segment size in bytes (header + payload)."""
-        return self.HEADER_SIZE + self.payload_size
+        return self._size
 
     @property
     def syn(self) -> bool:
         """True when the SYN flag is set."""
-        return bool(self.flags & TcpFlags.SYN)
+        return self._flag_bits & _SYN != 0
 
     @property
     def ack_flag(self) -> bool:
         """True when the ACK flag is set (named to avoid clashing with ``ack``)."""
-        return bool(self.flags & TcpFlags.ACK)
+        return self._flag_bits & _ACK != 0
 
     @property
     def fin(self) -> bool:
         """True when the FIN flag is set."""
-        return bool(self.flags & TcpFlags.FIN)
+        return self._flag_bits & _FIN != 0
 
     @property
     def rst(self) -> bool:
         """True when the RST flag is set."""
-        return bool(self.flags & TcpFlags.RST)
+        return self._flag_bits & _RST != 0
 
     def to_bytes(self) -> bytes:
         """Wire representation (checksum field zero; see Ipv4Packet.to_bytes)."""
         payload = self.data + b"\x00" * (self.payload_size - len(self.data))
-        offset_flags = (5 << 12) | int(self.flags)
+        offset_flags = (5 << 12) | self._flag_bits
         header = struct.pack(
             "!HHIIHHHH",
             self.src_port,
@@ -291,11 +309,12 @@ class Ipv4Packet:
             self.protocol = inferred
         if not 0 < self.ttl <= 255:
             raise ValueError(f"ttl out of range: {self.ttl}")
+        self._size = self.HEADER_SIZE + self.payload.size
 
     @property
     def size(self) -> int:
         """Total packet size in bytes (header + L4 payload)."""
-        return self.HEADER_SIZE + self.payload.size
+        return self._size
 
     @property
     def tcp(self) -> Optional[TcpSegment]:
@@ -478,11 +497,14 @@ class EthernetFrame:
     #: path.
     corrupt_header: Optional[bytes] = field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        raw = units.ETHERNET_HEADER + self.payload.size + units.ETHERNET_FCS
+        self._wire_size = max(raw, units.ETHERNET_MIN_FRAME)
+
     @property
     def wire_size(self) -> int:
         """Frame size on the wire in bytes, including FCS and min-frame padding."""
-        raw = units.ETHERNET_HEADER + self.payload.size + units.ETHERNET_FCS
-        return max(raw, units.ETHERNET_MIN_FRAME)
+        return self._wire_size
 
     @property
     def ip(self) -> Optional[Ipv4Packet]:

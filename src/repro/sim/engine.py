@@ -205,7 +205,7 @@ class Simulator:
         # Inlined schedule_at: this is the hottest kernel entry point, and
         # self._now + delay is already a valid float time.
         time = self._now + delay
-        event = Event(time, next(self._seq), callback, args, kernel=self)
+        event = Event(time, next(self._seq), callback, args, self)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]

@@ -1,7 +1,14 @@
 """Tests for MAC and IPv4 address value types."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
+
+import repro
 
 from repro.net.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
 
@@ -124,3 +131,48 @@ class TestIpv4Address:
     def test_address_always_in_its_own_subnet(self, value, prefix_len):
         ip = Ipv4Address(value)
         assert ip.in_subnet(ip, prefix_len)
+
+
+class TestIpv4AddressHash:
+    """The hash is cached at construction and must equal the tuple hash."""
+
+    @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_hash_equals_tuple_hash_from_every_constructor(self, value):
+        expected = hash(("ipv4", value))
+        from_int = Ipv4Address(value)
+        from_str = Ipv4Address(str(from_int))
+        from_address = Ipv4Address(from_str)
+        assert hash(from_int) == hash(from_str) == hash(from_address) == expected
+
+    def test_addition_rehashes(self):
+        assert hash(Ipv4Address("10.0.0.1") + 1) == hash(Ipv4Address("10.0.0.2"))
+
+    def test_pickle_roundtrip_in_process(self):
+        ip = Ipv4Address("192.168.7.9")
+        copy = pickle.loads(pickle.dumps(ip))
+        assert copy == ip and hash(copy) == hash(ip)
+
+    def test_pickle_from_another_hash_seed_is_a_working_key(self):
+        """A pickle written under another string-hash seed carries no stale hash."""
+        values = [0x0A000001, 0x0A000002, 0xC0A80709]
+        seed = "4321" if os.environ.get("PYTHONHASHSEED") != "4321" else "1234"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = (
+            "import pickle, sys\n"
+            "from repro.net.addresses import Ipv4Address\n"
+            f"values = {values!r}\n"
+            "table = {Ipv4Address(v): v for v in values}\n"
+            "sys.stdout.buffer.write(pickle.dumps((table, [hash(('ipv4', v)) for v in values])))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        written = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True
+        ).stdout
+        table, child_hashes = pickle.loads(written)
+        # The writer really hashed differently; otherwise this test shows nothing.
+        assert child_hashes != [hash(("ipv4", v)) for v in values]
+        for value in values:
+            key = Ipv4Address(value)
+            assert hash(key) == hash(("ipv4", value))
+            assert table[key] == value
+        assert set(table) == {Ipv4Address(v) for v in values}

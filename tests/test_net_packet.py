@@ -1,11 +1,17 @@
 """Tests for the packet model: sizes, flow tuples, serialization."""
 
-import pytest
-from hypothesis import given, strategies as st
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto.mac import TAG_SIZE
+from repro.crypto.vpg import VPG_CLEAR_HEADER, VPG_TAIL_FIELD, VpgContext
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.checksum import internet_checksum, verify_checksum
 from repro.net.packet import (
+    ArpMessage,
+    ArpOp,
     EthernetFrame,
     IcmpMessage,
     IcmpType,
@@ -219,3 +225,126 @@ class TestChecksum:
         # lands on a 16-bit word boundary, as real protocol headers ensure.
         checksum = internet_checksum(data)
         assert verify_checksum(data + checksum.to_bytes(2, "big"))
+
+
+# ---------------------------------------------------------------------------
+# Invariants of the sizes and flag masks fixed at construction
+# ---------------------------------------------------------------------------
+
+MAC_A, MAC_B = MacAddress.from_index(1), MacAddress.from_index(2)
+
+
+def _wire(ip_size):
+    """Ethernet header 14 + FCS 4, padded to the 64-byte minimum frame."""
+    return max(14 + ip_size + 4, 64)
+
+
+@st.composite
+def l4_payloads(draw, max_data=48, max_extra=2000):
+    """(payload, its header + payload size, protocol) for every L4 type."""
+    kind = draw(st.sampled_from(["tcp", "udp", "icmp", "raw"]))
+    data = draw(st.binary(max_size=max_data))
+    length = len(data) + draw(st.integers(0, max_extra))
+    if kind == "tcp":
+        flags = TcpFlags(draw(st.integers(0, 0x3F)))
+        return TcpSegment(1024, 80, flags=flags, payload_size=length, data=data), 20 + length, None
+    if kind == "udp":
+        return UdpDatagram(53, 1053, payload_size=length, data=data), 8 + length, None
+    if kind == "icmp":
+        message = IcmpMessage(IcmpType.ECHO_REQUEST, payload_size=length, data=data)
+        return message, 8 + length, None
+    return RawPayload(size=length, data=data), length, IpProtocol.VPG
+
+
+def _framed(payload, protocol):
+    packet = Ipv4Packet(src=SRC, dst=DST, payload=payload, protocol=protocol)
+    return packet, EthernetFrame(src_mac=MAC_A, dst_mac=MAC_B, payload=packet)
+
+
+class TestSizeInvariants:
+    @given(l4_payloads())
+    def test_stored_sizes_match_the_formula(self, drawn):
+        payload, l4_size, protocol = drawn
+        packet, frame = _framed(payload, protocol)
+        assert payload.size == l4_size
+        assert packet.size == 20 + l4_size
+        assert frame.wire_size == _wire(20 + l4_size)
+
+    @given(l4_payloads(max_data=8, max_extra=24))
+    def test_formula_at_and_below_the_minimum_frame(self, drawn):
+        # Unpadded frames of 38 (raw) to 90 (TCP) bytes straddle the minimum.
+        payload, l4_size, protocol = drawn
+        packet, frame = _framed(payload, protocol)
+        raw = 14 + 20 + l4_size + 4
+        assert frame.wire_size == (64 if raw <= 64 else raw)
+
+    @given(l4_payloads(), st.integers(0, 1500))
+    def test_formula_holds_after_replace(self, drawn, new_length):
+        payload, _, protocol = drawn
+        packet, frame = _framed(payload, protocol)
+        if isinstance(payload, RawPayload):
+            resized = replace(payload, size=new_length, data=b"")
+            l4_size = new_length
+        else:
+            resized = replace(payload, payload_size=new_length, data=b"")
+            l4_size = payload.HEADER_SIZE + new_length
+        new_packet = replace(packet, payload=resized)
+        new_frame = replace(frame, payload=new_packet)
+        assert new_packet.size == 20 + l4_size
+        assert new_frame.wire_size == _wire(20 + l4_size)
+        # The originals keep their own sizes.
+        assert frame.wire_size == _wire(packet.size)
+
+    @given(l4_payloads())
+    def test_formula_holds_after_a_wire_round_trip(self, drawn):
+        payload, l4_size, protocol = drawn
+        packet, frame = _framed(payload, protocol)
+        parsed = Ipv4Packet.from_bytes(packet.to_bytes())
+        assert parsed.size == packet.size == 20 + l4_size
+        assert parsed.payload.size == l4_size
+        reframed = EthernetFrame(src_mac=MAC_A, dst_mac=MAC_B, payload=parsed)
+        assert reframed.wire_size == frame.wire_size == _wire(20 + l4_size)
+
+    def test_arp_frame(self):
+        message = ArpMessage(ArpOp.REQUEST, MAC_A, SRC, MacAddress(0), DST)
+        parsed = ArpMessage.from_bytes(message.to_bytes())
+        assert message.size == parsed.size == 28
+        frame = EthernetFrame(src_mac=MAC_A, dst_mac=MAC_B, payload=parsed, ethertype=0x0806)
+        assert frame.wire_size == 64  # 14 + 28 + 4 = 46, padded
+
+    @settings(max_examples=40, deadline=None)
+    @given(l4_payloads(max_extra=600))
+    def test_vpg_sealed_packet(self, drawn):
+        payload, l4_size, protocol = drawn
+        inner = Ipv4Packet(src=SRC, dst=DST, payload=payload, protocol=protocol)
+        outer = VpgContext(500, b"0123456789abcdef01234567").seal(inner, SRC, DST)
+        sealed = outer.payload
+        # The ciphertext covers the inner packet's real bytes, PKCS#7-padded
+        # to whole 8-byte blocks; the size-only tail travels as clear zeros.
+        real = 20 + l4_size - sealed.inner_tail
+        assert len(sealed.ciphertext) == (real // 8 + 1) * 8
+        sealed_size = VPG_CLEAR_HEADER + VPG_TAIL_FIELD + len(sealed.ciphertext)
+        sealed_size += sealed.inner_tail + TAG_SIZE
+        assert outer.size == 20 + sealed_size
+        frame = EthernetFrame(src_mac=MAC_A, dst_mac=MAC_B, payload=outer)
+        assert frame.wire_size == _wire(20 + sealed_size)
+        assert Ipv4Packet.from_bytes(outer.to_bytes()).size == outer.size
+
+
+class TestFlagMasks:
+    @pytest.mark.parametrize("bits", range(64))
+    def test_flag_properties_match_enum_arithmetic(self, bits):
+        flags = TcpFlags(bits)
+        for segment in (
+            TcpSegment(1, 2, flags=flags),
+            replace(TcpSegment(1, 2), flags=flags),
+            Ipv4Packet.from_bytes(
+                Ipv4Packet(src=SRC, dst=DST, payload=TcpSegment(1, 2, flags=flags)).to_bytes()
+            ).tcp,
+        ):
+            assert isinstance(segment.flags, TcpFlags)
+            assert segment.flags == flags
+            assert segment.syn == bool(flags & TcpFlags.SYN)
+            assert segment.ack_flag == bool(flags & TcpFlags.ACK)
+            assert segment.fin == bool(flags & TcpFlags.FIN)
+            assert segment.rst == bool(flags & TcpFlags.RST)
